@@ -13,19 +13,6 @@ from .invariants import (
     top_chern_normal,
 )
 from .ring import RingShape, TruncPoly, binomial, coefficient, make_poly, mul, power_signed
-from .theta import (
-    ClusterProbe,
-    ThetaEmbedding,
-    cyclic_group,
-    elliptic_embedding,
-    fibre_independence_probe,
-    scroll_smoothness_probe,
-    span_rank,
-    surface_embedding,
-    theta_basis_eval,
-    torsion_point,
-    very_ampleness_cluster_probe,
-)
 from .verifier import (
     conjecture_family_report,
     inequality_check,
@@ -33,3 +20,27 @@ from .verifier import (
     termwise_check,
     very_ample_bound,
 )
+
+# The theta names load on first access (PEP 562), so that importing the exact
+# layer (ring, invariants, verifier, the CLI) does not import numpy.
+_THETA_NAMES = frozenset({
+    "ClusterProbe",
+    "ThetaEmbedding",
+    "cyclic_group",
+    "elliptic_embedding",
+    "fibre_independence_probe",
+    "scroll_smoothness_probe",
+    "span_rank",
+    "surface_embedding",
+    "theta_basis_eval",
+    "torsion_point",
+    "very_ampleness_cluster_probe",
+})
+
+
+def __getattr__(name: str):
+    if name in _THETA_NAMES:
+        from . import theta
+
+        return getattr(theta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,6 +26,7 @@ forced where smoothness was asserted, 2 inconclusive numeric probes remain,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,19 +37,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report, top_chern_normal
+from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report
 from .ring import binomial
-from .theta import (
-    ConfigurationError,
-    cyclic_group,
-    elliptic_embedding,
-    scroll_smoothness_probe,
-    surface_embedding,
-    torsion_point,
-)
+# theta, and numpy with it, is imported inside the probe handlers only, so the
+# exact commands start without loading numpy.
 from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep, very_ample_bound
 
 DEFAULT_SEED = 42
@@ -138,16 +131,17 @@ def _run_invariants(config: RunConfig):
     report = build_report(data)
     warnings = list(report.flags)
     if config.cross_check:
-        coefficient = top_chern_normal(data.n, data.k, data.l)
+        # compares the report's c_m(N) number with the closed forms times cn
+        tcn = report.top_chern_normal
         closed = binomial(data.l, data.n) * binomial(data.l - data.n - data.k, data.k - 1)
         if data.l == 2 * data.n + 2 * data.k - 1:
             closed_special = binomial(data.n + data.k - 1, data.n) * binomial(data.l, data.n)
-            if coefficient != closed_special:
+            if tcn != closed_special * data.cn:
                 raise EngineMismatchError(
-                    f"top Chern cross-check failed: {coefficient} != {closed_special}"
+                    f"top Chern cross-check failed: {tcn} != {closed_special} * {data.cn}"
                 )
-        if coefficient != closed:
-            raise EngineMismatchError(f"top Chern cross-check failed: {coefficient} != {closed}")
+        if tcn != closed * data.cn:
+            raise EngineMismatchError(f"top Chern cross-check failed: {tcn} != {closed} * {data.cn}")
         warnings.append("cross-check of closed-form identities passed")
     payload = {"kind": "scroll_report", "reports": [_report_dict(report)]}
     code = EXIT_OK
@@ -187,6 +181,8 @@ def _run_bound(config: RunConfig):
 
 
 def _probe_payload(config: RunConfig, emb, generator, warnings: list):
+    from .theta import cyclic_group, scroll_smoothness_probe
+
     group = cyclic_group(emb, generator.point, generator.actual_order)
     if not generator.exact_order:
         warnings.append(
@@ -220,6 +216,8 @@ def _probe_payload(config: RunConfig, emb, generator, warnings: list):
 
 
 def _run_probe_elliptic(config: RunConfig):
+    from .theta import elliptic_embedding, torsion_point
+
     emb = elliptic_embedding(config.m, config.tau)
     a, b, order = config.torsion
     generator = torsion_point(emb, a, b, order)
@@ -227,6 +225,10 @@ def _run_probe_elliptic(config: RunConfig):
 
 
 def _run_probe_surface(config: RunConfig):
+    import numpy as np
+
+    from .theta import surface_embedding, torsion_point
+
     o11, o12, o22 = config.omega
     omega = np.array([[o11, o12], [o12, o22]])
     emb = surface_embedding(config.d, omega)
@@ -255,6 +257,25 @@ _COMMAND_PARAMS = {
 }
 
 
+@contextlib.contextmanager
+def _exact_int_strings():
+    """Lift the interpreter's limit on int-to-decimal conversion for one run.
+
+    Python 3.10.7+ refuses to format ints above 4300 digits; exact answers
+    (n! alone does from n = 1559 on) exceed it.  Older interpreters have no
+    limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
     """Dispatch a parsed configuration; never raises for bad numeric input."""
     params = {}
@@ -269,12 +290,13 @@ def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
         if value is not None:
             params[key] = value
     try:
-        payload, warnings, code = _HANDLERS[config.command](config)
+        with _exact_int_strings():
+            payload, warnings, code = _HANDLERS[config.command](config)
     except (EngineMismatchError, AssertionError) as exc:
         payload = {"kind": "error", "message": str(exc)}
         warnings = [f"verification failed: {exc}"]
         code = EXIT_FAILED
-    except (ValueError, ConfigurationError, TypeError) as exc:
+    except ValueError as exc:  # theta's ConfigurationError included
         payload = {"kind": "error", "message": str(exc)}
         warnings = [f"configuration error: {exc}"]
         code = EXIT_USAGE

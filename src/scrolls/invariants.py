@@ -13,9 +13,13 @@ coefficient extraction:
   * virtual double point number, the degree of the double point class
     phi^* phi_* [X] - c_m(N) cap [X]
 
-Each extraction is computed twice: once through the ring engine and once from
-a closed form, and a mismatch raises EngineMismatchError (it would mean a bug
-in the ring, not bad input).
+The two engine extractions are C(n+k-1, k-1) (hyperplane_power_coefficient)
+and the c^n h^(k-1) coefficient of the total class (top_chern_normal).  Each
+is computed twice, once through the ring engine and once from a closed form,
+and a mismatch raises EngineMismatchError (it would mean a bug in the ring,
+not bad input).  build_report runs each extraction once and derives all three
+invariants from the two results; the top Chern coefficient is read from the
+two factors of the total class without forming their full product.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import RingShape, TruncPoly, binomial, coefficient, make_poly, mul, power_signed
+from .ring import (
+    RingShape,
+    TruncPoly,
+    binomial,
+    coefficient,
+    make_poly,
+    power_signed,
+    product_coefficient,
+)
 
 VERDICT_SMOOTH = "consistent-with-smooth"
 VERDICT_DOUBLE_POINTS = "double-points-forced"
@@ -135,9 +147,10 @@ def top_chern_normal(n: int, k: int, l: int) -> int:
     ambient = make_poly(
         shape, [(0, 0, 1), (1, 0, 1)] + ([(0, 1, 1)] if k > 1 else [])
     )
-    total = mul(power_signed(ambient, l), power_signed(make_poly(
-        shape, [(0, 0, 1)] + ([(0, 1, 1)] if k > 1 else [])), -k))
-    engine = coefficient(total, n, k - 1)
+    one_plus_h = make_poly(shape, [(0, 0, 1)] + ([(0, 1, 1)] if k > 1 else []))
+    engine = product_coefficient(
+        power_signed(ambient, l), power_signed(one_plus_h, -k), n, k - 1
+    )
     closed = binomial(l, n) * _series_binomial(l - n - k, k - 1)
     if engine != closed:
         raise EngineMismatchError(
@@ -152,7 +165,7 @@ def scroll_degree(data: ScrollData) -> Fraction:
     May be non-integral; callers flag that case rather than erroring, so that
     impossible configurations can still be described.
     """
-    return Fraction(hyperplane_power_coefficient(data.n, data.k) * data.cn, data.k)
+    return _degree(data, hyperplane_power_coefficient(data.n, data.k))
 
 
 def double_point_number(data: ScrollData) -> Fraction:
@@ -162,8 +175,20 @@ def double_point_number(data: ScrollData) -> Fraction:
     as an exact rational.  Positive values force double points; zero is the
     necessary condition for smoothness.
     """
-    b = hyperplane_power_coefficient(data.n, data.k)
-    t = top_chern_normal(data.n, data.k, data.l)
+    return _double_point(
+        data,
+        hyperplane_power_coefficient(data.n, data.k),
+        top_chern_normal(data.n, data.k, data.l),
+    )
+
+
+def _degree(data: ScrollData, b: int) -> Fraction:
+    """(1/k) * b * cn with b = C(n+k-1, k-1)."""
+    return Fraction(b * data.cn, data.k)
+
+
+def _double_point(data: ScrollData, b: int, t: int) -> Fraction:
+    """(1/k) * cn * [(1/k) * b^2 * cn - t] with b = C(n+k-1, k-1), t the top Chern coefficient."""
     return Fraction(data.cn, data.k) * (Fraction(b * b * data.cn, data.k) - t)
 
 
@@ -178,10 +203,15 @@ def rr_min_degree(n: int, l: int) -> int:
 
 
 def build_report(data: ScrollData) -> ScrollReport:
-    """Aggregate all invariants of one scroll configuration into a report."""
-    deg = scroll_degree(data)
-    tcn = top_chern_normal(data.n, data.k, data.l) * data.cn
-    dp = double_point_number(data)
+    """Aggregate all invariants of one scroll configuration into a report.
+
+    Runs each engine extraction (with its closed-form check) exactly once.
+    """
+    b = hyperplane_power_coefficient(data.n, data.k)
+    t = top_chern_normal(data.n, data.k, data.l)
+    deg = _degree(data, b)
+    tcn = t * data.cn
+    dp = _double_point(data, b, t)
     flags = []
     if deg.denominator != 1:
         flags.append("non-integral scroll degree")

@@ -165,13 +165,35 @@ def mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
     return TruncPoly(a.shape, {k: _canon(v) for k, v in out.items() if v != 0})
 
 
+def _check_index(shape: RingShape, i: int, j: int) -> None:
+    if not (0 <= i <= shape.c_cap and 0 <= j <= shape.h_cap):
+        raise ExponentRangeError(
+            f"index ({i}, {j}) outside shape c_cap={shape.c_cap}, h_cap={shape.h_cap}"
+        )
+
+
 def coefficient(p: TruncPoly, i: int, j: int) -> Rational:
     """Exact coefficient of c^i h^j; zero if the monomial is absent."""
-    if not (0 <= i <= p.shape.c_cap and 0 <= j <= p.shape.h_cap):
-        raise ExponentRangeError(
-            f"index ({i}, {j}) outside shape c_cap={p.shape.c_cap}, h_cap={p.shape.h_cap}"
-        )
+    _check_index(p.shape, i, j)
     return p.coeffs.get((i, j), 0)
+
+
+def product_coefficient(a: TruncPoly, b: TruncPoly, i: int, j: int) -> Rational:
+    """Exact coefficient of c^i h^j in a*b, without forming the product.
+
+    Sums a[i1, j1] * b[i-i1, j-j1] over the terms of a, so it costs one pass
+    over a instead of the len(a) * len(b) term pairs of :func:`mul`.
+    """
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+    _check_index(a.shape, i, j)
+    b_coeffs = b.coeffs
+    total: Rational = 0
+    for (i1, j1), v1 in a.coeffs.items():
+        v2 = b_coeffs.get((i - i1, j - j1))
+        if v2 is not None:
+            total += v1 * v2
+    return _canon(total)
 
 
 def binomial(a: int, b: int) -> int:

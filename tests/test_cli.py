@@ -1,8 +1,15 @@
+import contextlib
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import scrolls
 from scrolls.cli import RunConfig, main, render_json, run
 from scrolls.verifier import inequality_check
 
@@ -15,6 +22,19 @@ def run_cli(capsys, argv):
 def run_cli_json(capsys, argv):
     code, out = run_cli(capsys, argv)
     return code, json.loads(out)
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Let the test itself convert ints above 4300 digits (Python >= 3.10.7)."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 # ------------------------------------------------------------------ commands
@@ -110,6 +130,41 @@ def test_verify_inverted_range_is_config_error(capsys):
     )
     assert code == 3
     assert env["payload"]["kind"] == "error"
+
+
+def test_verify_exact_above_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, env = run_cli_json(
+        capsys, ["verify", "--n-min", "2000", "--n-max", "2000", "--k-min", "1", "--k-max", "1"]
+    )
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after the run
+    (record,) = env["payload"]["records"]
+    assert len(record["lhs"]) > 4300
+    with no_int_digit_limit():
+        assert int(record["lhs"]) == 4001 * math.factorial(2000)
+        assert int(record["rhs"]) == math.comb(4001, 2000)
+    assert record["relation"] == "gt"
+
+
+def test_internal_type_error_is_not_a_usage_error():
+    # a RunConfig without the fields its command needs is a caller bug
+    with pytest.raises(TypeError):
+        run(RunConfig(command="invariants"))
+
+
+def test_exact_cli_import_leaves_numpy_unloaded():
+    script = (
+        "import sys, scrolls.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by scrolls.cli'\n"
+        "from scrolls import ThetaEmbedding, theta_basis_eval\n"
+        "assert callable(theta_basis_eval) and ThetaEmbedding.__name__ == 'ThetaEmbedding'\n"
+    )
+    src = str(Path(scrolls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_probe_elliptic(capsys):

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrolls import invariants
 from scrolls.invariants import (
     ScrollData,
     VERDICT_DOUBLE_POINTS,
@@ -107,6 +109,21 @@ def test_build_report_examples():
     quintic = build_report(ScrollData(1, 2, 5, 5))
     assert quintic.verdict == VERDICT_SMOOTH
     assert quintic.deg_Y == 5
+
+
+def test_build_report_runs_each_engine_extraction_once(monkeypatch):
+    calls = Counter()
+    for name in ("top_chern_normal", "hyperplane_power_coefficient"):
+        def counted(*args, _name=name, _original=getattr(invariants, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    data = ScrollData(3, 2, 9, 54)
+    report = build_report(data)
+    assert calls == {"top_chern_normal": 1, "hyperplane_power_coefficient": 1}
+    assert report.deg_Y == scroll_degree(data)
+    assert report.double_point == double_point_number(data) == 2592
 
 
 def test_build_report_flags_impossible_and_fractional():

@@ -18,6 +18,7 @@ from scrolls.ring import (
     mul,
     one,
     power_signed,
+    product_coefficient,
     zero,
 )
 
@@ -124,6 +125,16 @@ def test_coefficient_examples():
         coefficient(p, 2, 0)
 
 
+def test_product_coefficient_checks_shape_and_range():
+    with pytest.raises(ShapeMismatchError):
+        product_coefficient(one(RingShape(1, 1)), one(RingShape(1, 2)), 0, 0)
+    shape = RingShape(1, 1)
+    p = make_poly(shape, [(1, 0, 1), (0, 1, 1)])
+    for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ExponentRangeError):
+            product_coefficient(p, p, i, j)
+
+
 def test_binomial_values():
     assert binomial(7, 2) == 21
     assert binomial(5, 0) == 1
@@ -198,6 +209,18 @@ def test_ring_axioms(data):
 def test_mul_matches_naive_oracle(data):
     shape, a, b = data
     assert mul(a, b) == naive_product(shape, a, b)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(shaped_polys(count=2), st.data())
+def test_product_coefficient_matches_full_product(polys, data):
+    shape, a, b = polys
+    i = data.draw(st.integers(0, shape.c_cap))
+    j = data.draw(st.integers(0, shape.h_cap))
+    value = product_coefficient(a, b, i, j)
+    expected = coefficient(mul(a, b), i, j)
+    assert value == expected
+    assert type(value) is type(expected)  # canonical: integral values are ints
 
 
 @settings(derandomize=True, max_examples=80)
