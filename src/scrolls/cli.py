@@ -259,11 +259,11 @@ _COMMAND_PARAMS = {
 
 @contextlib.contextmanager
 def _exact_int_strings():
-    """Lift the interpreter's limit on int-to-decimal conversion for one run.
+    """Lift the interpreter's limit on int/decimal conversion for one run.
 
-    Python 3.10.7+ refuses to format ints above 4300 digits; exact answers
-    (n! alone does from n = 1559 on) exceed it.  Older interpreters have no
-    limit.
+    Python 3.10.7+ refuses to parse or format ints above 4300 digits; exact
+    answers (n! alone does from n = 1559 on) exceed it.  Older interpreters
+    have no limit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -290,6 +290,7 @@ def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
         if value is not None:
             params[key] = value
     try:
+        # lifted here too for library callers of run(); main() nests it
         with _exact_int_strings():
             payload, warnings, code = _HANDLERS[config.command](config)
     except (EngineMismatchError, AssertionError) as exc:
@@ -520,11 +521,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
-    envelope, code = run(config)
-    text = _RENDERERS[config.fmt](envelope)
+    # int flags and the params echoed back may exceed the limit as well
+    with _exact_int_strings():
+        config = config_from_args(build_parser().parse_args(argv))
+        envelope, code = run(config)
+        text = _RENDERERS[config.fmt](envelope)
     destination = _resolve_output(config.output)
     if destination is None:
         sys.stdout.write(text)

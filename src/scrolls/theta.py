@@ -17,13 +17,15 @@ a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
     s_j(z) = theta[(0, j/d), 0](z, Omega),   j = 0..d-1.
 
 All lattice sums are truncated so that the discarded tail is below e^-40
-(~4e-18) of the largest retained term, input-dependently.
+(~4e-18) of the largest retained term, input-dependently; one exponent
+matrix per point gives both the values and the derivative.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
 fibres over points not differing by the subgroup must span independently, and
 the section values together with their first derivatives along a fibre must
-have full rank (the immersion condition).  Ranks are decided by singular
+have full rank (the immersion condition).  Each torus point is evaluated once
+per base point and shared by all three probes.  Ranks are decided by singular
 value ratios with a hard threshold and a gray zone that yields an
 "inconclusive" verdict rather than overclaiming; everything is deterministic
 for a fixed seed.
@@ -76,11 +78,13 @@ class ThetaEmbedding:
             raise ConfigurationError(f"genus must be 1 or 2, got {self.genus}")
         if self.degree < 3:
             raise ConfigurationError(f"need at least 3 sections, got degree {self.degree}")
+        # per-embedding constants of the lattice sums, computed once here
         if self.genus == 1:
             tau = complex(self.period)
             if not tau.imag > 0:
                 raise ConfigurationError(f"Im(tau) must be positive, got {tau}")
             base_scale = self.degree * tau.imag
+            object.__setattr__(self, "_chars", (np.arange(self.degree) / self.degree)[:, None])
         else:
             omega = np.asarray(self.period, dtype=complex)
             if omega.shape != (2, 2) or not np.allclose(omega, omega.T, atol=1e-14):
@@ -90,6 +94,10 @@ class ThetaEmbedding:
                 raise ConfigurationError("Im(period) must be positive definite")
             object.__setattr__(self, "period", omega)
             base_scale = float(eigs[0])
+            chars = np.zeros((self.degree, 2))
+            chars[:, 1] = np.arange(self.degree) / self.degree
+            object.__setattr__(self, "_eig_min", base_scale)
+            object.__setattr__(self, "_chars", chars[:, None, :])
         radius = _radius_for(base_scale, 0.0)
         if radius > self.truncation_radius:
             object.__setattr__(self, "truncation_radius", radius)
@@ -173,7 +181,7 @@ def _genus1_exponents(emb: ThetaEmbedding, z: complex):
     radius = max(_radius_for(y, offset), emb.truncation_radius)
     center = -w.imag / y
     r = np.arange(math.ceil(center - radius), math.floor(center + radius) + 1)
-    u = r[None, :] + (np.arange(m) / m)[:, None]
+    u = r[None, :] + emb._chars
     exponents = 1j * math.pi * big_tau * u * u + 2j * math.pi * u * w
     if exponents.real.max() > 600.0:
         raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
@@ -181,22 +189,17 @@ def _genus1_exponents(emb: ThetaEmbedding, z: complex):
 
 
 def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
-    d = emb.degree
     omega = emb.period
-    im = omega.imag
-    eig_min = float(np.linalg.eigvalsh(im)[0])
-    center = -np.linalg.solve(im, z.imag)
-    radius = max(_radius_for(eig_min, float(np.linalg.norm(center))), emb.truncation_radius)
+    center = -np.linalg.solve(omega.imag, z.imag)
+    radius = max(_radius_for(emb._eig_min, float(np.linalg.norm(center))), emb.truncation_radius)
     lo = np.ceil(center - radius - 1).astype(int)
     hi = np.floor(center + radius + 1).astype(int)
     r1, r2 = np.meshgrid(
         np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
     )
     lattice = np.stack([r1.ravel(), r2.ravel()], axis=1).astype(float)
-    chars = np.zeros((d, 2))
-    chars[:, 1] = np.arange(d) / d
     # u has shape (d, npoints, 2): lattice vector plus characteristic per section
-    u = lattice[None, :, :] + chars[:, None, :]
+    u = lattice[None, :, :] + emb._chars
     quad = np.einsum("sni,ij,snj->sn", u, omega, u)
     exponents = 1j * math.pi * quad + 2j * math.pi * (u @ z)
     if exponents.real.max() > 600.0:
@@ -204,13 +207,27 @@ def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
     return u, exponents
 
 
+def _section_terms(emb: ThetaEmbedding, z: TorusPoint):
+    """Index offsets u and the term matrix exp(exponents): one build per point."""
+    if emb.genus == 1:
+        u, exponents = _genus1_exponents(emb, complex(z))
+    else:
+        u, exponents = _genus2_exponents(emb, np.asarray(z, dtype=complex))
+    return u, np.exp(exponents)
+
+
+def _derivative_sums(emb: ThetaEmbedding, u, terms, tangent) -> np.ndarray:
+    if emb.genus == 1:
+        direction = 1.0 if tangent is None else complex(tangent)
+        return (2j * math.pi * emb.degree * direction * u * terms).sum(axis=1)
+    if tangent is None:
+        raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
+    return ((u @ np.asarray(tangent, dtype=complex)) * 2j * math.pi * terms).sum(axis=1)
+
+
 def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
     """Raw (unnormalized) values of all sections at z."""
-    if emb.genus == 1:
-        _, exponents = _genus1_exponents(emb, complex(z))
-        return np.exp(exponents).sum(axis=1)
-    _, exponents = _genus2_exponents(emb, np.asarray(z, dtype=complex))
-    return np.exp(exponents).sum(axis=1)
+    return _section_terms(emb, z)[1].sum(axis=1)
 
 
 def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.ndarray:
@@ -219,15 +236,7 @@ def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.nd
     For genus 1 the direction defaults to 1 (d/dz); for genus 2 it must be a
     complex 2-vector.
     """
-    if emb.genus == 1:
-        direction = 1.0 if tangent is None else complex(tangent)
-        u, exponents = _genus1_exponents(emb, complex(z))
-        return (2j * math.pi * emb.degree * direction * u * np.exp(exponents)).sum(axis=1)
-    if tangent is None:
-        raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
-    direction = np.asarray(tangent, dtype=complex)
-    u, exponents = _genus2_exponents(emb, np.asarray(z, dtype=complex))
-    return ((u @ direction) * 2j * math.pi * np.exp(exponents)).sum(axis=1)
+    return _derivative_sums(emb, *_section_terms(emb, z), tangent)
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:
@@ -250,14 +259,15 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     The derivative row is divided by the same norm as the coordinates, so the
     pair stays a consistent affine chart of the embedded curve/surface.
     """
-    raw = theta_values(emb, z)
+    u, terms = _section_terms(emb, z)
+    raw = terms.sum(axis=1)
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise EvaluationError(f"all sections vanish at {z!r}")
     coords = normalize(raw)
     derivative = None
     if tangent is not None:
-        derivative = theta_derivatives(emb, z, tangent) / norm
+        derivative = _derivative_sums(emb, u, terms, tangent) / norm
     return EmbeddedPoint(base=z, coords=coords, derivative=derivative)
 
 
@@ -378,36 +388,34 @@ def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 
 
 # -------------------------------------------------------------------- probes
 
+def _rank(vectors, tol: float, error: type):
+    """Singular value ratios, rank and margin of row-normalized vectors: the
+    one rank decision behind span_rank and every cluster probe.  Zero rows
+    raise `error`."""
+    matrix = np.asarray(vectors, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
+        raise ValueError("need a nonempty 2-d stack of vectors")
+    norms = np.linalg.norm(matrix, axis=1)
+    if np.any(norms == 0.0):
+        raise error("zero vectors are not allowed in rank probes")
+    singular = np.linalg.svd(matrix / norms[:, None], compute_uv=False)
+    ratios = singular / singular[0]
+    rank = int(np.count_nonzero(ratios >= tol))
+    return ratios, rank, float(ratios[rank - 1]) if rank else 0.0
+
+
 def span_rank(vectors, tol: float = HARD_TOL):
     """Numerical rank and margin of a set of coordinate vectors.
 
     Rows are normalized to unit norm, then rank = number of singular values
     with sigma_i/sigma_1 >= tol and margin = (smallest counted)/sigma_1.
     """
-    matrix = np.asarray(vectors, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ValueError("need a nonempty 2-d stack of vectors")
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vectors are not allowed in rank probes")
-    ratios = _sv_ratios(matrix / norms[:, None])
-    rank = int(np.count_nonzero(ratios >= tol))
-    margin = float(ratios[rank - 1]) if rank else 0.0
+    _, rank, margin = _rank(vectors, tol, ValueError)
     return rank, margin
 
 
-def _sv_ratios(matrix: np.ndarray) -> np.ndarray:
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return singular / singular[0]
-
-
-def _make_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe:
-    matrix = np.asarray(vectors, dtype=complex)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise EvaluationError("zero vector in cluster probe")
-    ratios = _sv_ratios(matrix / norms[:, None])
-    observed = int(np.count_nonzero(ratios >= tol))
+def _cluster_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe:
+    ratios, observed, margin = _rank(vectors, tol, EvaluationError)
     decisive = float(ratios[expected_rank - 1]) if expected_rank <= len(ratios) else 0.0
     if GRAY_LOW <= decisive <= GRAY_HIGH:
         verdict = "inconclusive"
@@ -415,7 +423,6 @@ def _make_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe
         verdict = "pass"
     else:
         verdict = "fail"
-    margin = float(ratios[observed - 1]) if observed else 0.0
     return ClusterProbe(
         points=tuple(points),
         expected_rank=expected_rank,
@@ -425,6 +432,11 @@ def _make_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe
     )
 
 
+def _rows(embedded, with_derivatives: bool = False) -> list:
+    rows = [p.coords for p in embedded]
+    return rows + [p.derivative for p in embedded] if with_derivatives else rows
+
+
 def fibre_independence_probe(
     emb: ThetaEmbedding, group: Sequence[TorusPoint], base: TorusPoint, tol: float = HARD_TOL
 ) -> ClusterProbe:
@@ -432,7 +444,7 @@ def fibre_independence_probe(
     independent points (base-point freeness of the scroll's fibres)."""
     _check_group(emb, group)
     embedded = [theta_basis_eval(emb, _add(base, rho)) for rho in group]
-    return _make_probe(embedded, [p.coords for p in embedded], len(group), tol)
+    return _cluster_probe(embedded, _rows(embedded), len(group), tol)
 
 
 def very_ampleness_cluster_probe(
@@ -456,15 +468,12 @@ def very_ampleness_cluster_probe(
             f"cluster length {length} exceeds section_count-1 = {emb.section_count - 1}; "
             "independence is not expected"
         )
-    if with_derivatives:
-        if tangent is None:
-            tangent = 1.0 if emb.genus == 1 else np.array([1.0, 0.0], dtype=complex)
-        embedded = [theta_basis_eval(emb, p, tangent=tangent) for p in points]
-        vectors = [p.coords for p in embedded] + [p.derivative for p in embedded]
-    else:
-        embedded = [theta_basis_eval(emb, p) for p in points]
-        vectors = [p.coords for p in embedded]
-    return _make_probe(embedded, vectors, length, tol)
+    if not with_derivatives:
+        tangent = None
+    elif tangent is None:
+        tangent = 1.0 if emb.genus == 1 else np.array([1.0, 0.0], dtype=complex)
+    embedded = [theta_basis_eval(emb, p, tangent=tangent) for p in points]
+    return _cluster_probe(embedded, _rows(embedded, with_derivatives), length, tol)
 
 
 def _pair_offset(emb: ThetaEmbedding, group: Sequence[TorusPoint]) -> TorusPoint:
@@ -545,7 +554,6 @@ def scroll_smoothness_probe(
         margins.append(probe.margin)
 
     for index, base in enumerate(randoms + grid):
-        fibre = [_add(base, rho) for rho in group]
         if index < samples:
             partner = _draw_partner(emb, group, base, rng)
         else:
@@ -555,18 +563,14 @@ def scroll_smoothness_probe(
         else:
             raw = rng.normal(size=2) + 1j * rng.normal(size=2)
             tangent = raw / np.linalg.norm(raw)
+        # one evaluation per point, the fibre's with its derivative; partners
+        # come after the fibre probe is recorded, so an error there keeps it
         try:
-            record(_make_probe_fibre(emb, group, base, tol))
-            record(
-                very_ampleness_cluster_probe(
-                    emb, fibre + [_add(partner, rho) for rho in group], with_derivatives=False, tol=tol
-                )
-            )
-            record(
-                very_ampleness_cluster_probe(
-                    emb, fibre, with_derivatives=True, tangent=tangent, tol=tol
-                )
-            )
+            fibre = [theta_basis_eval(emb, _add(base, rho), tangent=tangent) for rho in group]
+            record(_cluster_probe(fibre, _rows(fibre), k, tol))
+            cluster = fibre + [theta_basis_eval(emb, _add(partner, rho)) for rho in group]
+            record(_cluster_probe(cluster, _rows(cluster), 2 * k, tol))
+            record(_cluster_probe(fibre, _rows(fibre, with_derivatives=True), 2 * k, tol))
         except (EvaluationError, ConfigurationError):
             verdicts["inconclusive"] += 1
     return ProbeSummary(
@@ -581,12 +585,6 @@ def scroll_smoothness_probe(
         inconclusives=verdicts["inconclusive"],
         min_margin=float(min(margins)) if margins else float("nan"),
     )
-
-
-def _make_probe_fibre(emb, group, base, tol) -> ClusterProbe:
-    # group closure already checked once by the caller
-    embedded = [theta_basis_eval(emb, _add(base, rho)) for rho in group]
-    return _make_probe(embedded, [p.coords for p in embedded], len(group), tol)
 
 
 def _draw_partner(emb, group, base, rng, attempts: int = 32) -> TorusPoint:

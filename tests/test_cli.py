@@ -148,6 +148,21 @@ def test_verify_exact_above_int_string_limit(capsys):
     assert record["relation"] == "gt"
 
 
+def test_invariants_integer_flag_above_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    cn = "1" + "0" * 4301  # argparse's int and the JSON params both see it
+    code, out = run_cli(capsys, ["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", cn])
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after main
+    with no_int_digit_limit():
+        env = json.loads(out)
+        assert env["params"]["cn"] == int(cn)
+    (report,) = env["payload"]["reports"]
+    assert report["cn"] == cn
+    assert report["deg_Y"] == "15" + "0" * 4300
+
+
 def test_internal_type_error_is_not_a_usage_error():
     # a RunConfig without the fields its command needs is a caller bug
     with pytest.raises(TypeError):
