@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -39,10 +40,9 @@ from pathlib import Path
 
 from . import __version__
 from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report
-from .ring import binomial
 # theta, and numpy with it, is imported inside the probe handlers only, so the
 # exact commands start without loading numpy.
-from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep, very_ample_bound
+from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep_records, very_ample_bound
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 100
@@ -131,17 +131,7 @@ def _run_invariants(config: RunConfig):
     report = build_report(data)
     warnings = list(report.flags)
     if config.cross_check:
-        # compares the report's c_m(N) number with the closed forms times cn
-        tcn = report.top_chern_normal
-        closed = binomial(data.l, data.n) * binomial(data.l - data.n - data.k, data.k - 1)
-        if data.l == 2 * data.n + 2 * data.k - 1:
-            closed_special = binomial(data.n + data.k - 1, data.n) * binomial(data.l, data.n)
-            if tcn != closed_special * data.cn:
-                raise EngineMismatchError(
-                    f"top Chern cross-check failed: {tcn} != {closed_special} * {data.cn}"
-                )
-        if tcn != closed * data.cn:
-            raise EngineMismatchError(f"top Chern cross-check failed: {tcn} != {closed} * {data.cn}")
+        # build_report has asserted the engine against the closed form already
         warnings.append("cross-check of closed-form identities passed")
     payload = {"kind": "scroll_report", "reports": [_report_dict(report)]}
     code = EXIT_OK
@@ -151,21 +141,25 @@ def _run_invariants(config: RunConfig):
 
 
 def _run_verify(config: RunConfig):
-    result = sweep(range(config.n_min, config.n_max + 1), range(config.k_min, config.k_max + 1))
-    classification_holds = all(
-        rec.relation == ("eq" if rec.n <= 2 else "gt") for rec in result.records
-    )
-    payload = {
-        "kind": "sweep",
-        "records": [
-            {"n": r.n, "k": r.k, "lhs": _num(r.lhs), "rhs": _num(r.rhs), "relation": r.relation}
-            for r in result.records
-        ],
-        "equality_set": [list(pair) for pair in result.equality_set],
-        "classification_holds": classification_holds,
-    }
-    warnings = [] if classification_holds else ["equality classification violated on this grid"]
-    return payload, warnings, EXIT_OK if classification_holds else EXIT_FAILED
+    # `records` is a one-pass iterator of InequalityRecord; the fields after
+    # it, the warning and main()'s exit code are final once it is consumed
+    rows = sweep_records(range(config.n_min, config.n_max + 1),
+                         range(config.k_min, config.k_max + 1))
+    payload = {"kind": "sweep", "records": None, "equality_set": [], "classification_holds": True}
+    warnings = []
+
+    def records():
+        for rec in rows:
+            if rec.relation == "eq":
+                payload["equality_set"].append([rec.n, rec.k])
+            if rec.relation != ("eq" if rec.n <= 2 else "gt"):
+                payload["classification_holds"] = False
+            yield rec
+        if not payload["classification_holds"]:
+            warnings.append("equality classification violated on this grid")
+
+    payload["records"] = records()
+    return payload, warnings, EXIT_OK
 
 
 def _run_family(config: RunConfig):
@@ -314,19 +308,41 @@ def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
 
 # ----------------------------------------------------------------- rendering
 
-def render_json(envelope: ReportEnvelope) -> str:
-    return json.dumps(envelope.to_dict(), indent=2) + "\n"
+# Writers stream an envelope into a text handle.  A sweep's records go out one
+# by one from templates that match json.dumps(indent=2) and csv.writer bytes.
+
+_RECORD_JSON = ('      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d",\n'
+                '        "rhs": "%d",\n        "relation": "%s"\n      }')
 
 
-def render_csv(envelope: ReportEnvelope) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def write_json(envelope: ReportEnvelope, out) -> None:
+    payload = envelope.payload
+    if payload.get("kind") != "sweep":
+        out.write(json.dumps(envelope.to_dict(), indent=2) + "\n")
+        return
+
+    def around_records() -> tuple:
+        # "\0" (JSON "\u0000") marks the records; no other field can hold it
+        data = dict(envelope.to_dict(), payload=dict(payload, records="\0"))
+        return json.dumps(data, indent=2).partition('"\\u0000"')
+
+    out.write(around_records()[0] + "[")
+    separator = "\n"
+    for r in payload["records"]:
+        out.write(separator + _RECORD_JSON % (r.n, r.k, r.lhs, r.rhs, r.relation))
+        separator = ",\n"
+    # the fields after the records are final only now
+    out.write("\n    ]" + around_records()[2] + "\n")
+
+
+def write_csv(envelope: ReportEnvelope, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     payload = envelope.payload
     kind = payload.get("kind")
     if kind == "sweep":
         writer.writerow(["n", "k", "lhs", "rhs", "relation"])
-        for rec in payload["records"]:
-            writer.writerow([rec["n"], rec["k"], rec["lhs"], rec["rhs"], rec["relation"]])
+        for r in payload["records"]:
+            out.write("%d,%d,%d,%d,%s\n" % (r.n, r.k, r.lhs, r.rhs, r.relation))
     elif kind == "scroll_report":
         writer.writerow(
             ["n", "k", "l", "cn", "deg_Y", "top_chern_normal", "double_point", "verdict"]
@@ -347,10 +363,9 @@ def render_csv(envelope: ReportEnvelope) -> str:
     else:
         writer.writerow(["error"])
         writer.writerow([payload.get("message", "")])
-    return buffer.getvalue()
 
 
-def render_text(envelope: ReportEnvelope) -> str:
+def write_text(envelope: ReportEnvelope, out) -> None:
     lines = [f"scrolls {envelope.version} :: {envelope.command}"]
     payload = envelope.payload
     kind = payload.get("kind")
@@ -361,10 +376,9 @@ def render_text(envelope: ReportEnvelope) -> str:
                 f"deg_Y={rec['deg_Y']} double_point={rec['double_point']} -> {rec['verdict']}"
             )
     elif kind == "sweep":
+        checked = sum(1 for _ in payload["records"])
         eq = payload["equality_set"]
-        lines.append(
-            f"  {len(payload['records'])} pairs checked; equality at {len(eq)} of them"
-        )
+        lines.append(f"  {checked} pairs checked; equality at {len(eq)} of them")
         lines.append(f"  classification holds: {payload['classification_holds']}")
     elif kind == "probe":
         lines.append(
@@ -378,10 +392,24 @@ def render_text(envelope: ReportEnvelope) -> str:
         lines.append(f"  error: {payload.get('message', '')}")
     for warning in envelope.warnings:
         lines.append(f"  warning: {warning}")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+_WRITERS = {"json": write_json, "csv": write_csv, "text": write_text}
+
+
+def _render(write, envelope: ReportEnvelope) -> str:
+    buffer = io.StringIO()
+    # library callers render outside main(); sweep ints are formatted here
+    with _exact_int_strings():
+        write(envelope, buffer)
+    return buffer.getvalue()
+
+
+# render_*(envelope) -> str, for library callers
+render_json = functools.partial(_render, write_json)
+render_csv = functools.partial(_render, write_csv)
+render_text = functools.partial(_render, write_text)
 
 
 def _resolve_output(path: str | None) -> Path | None:
@@ -395,12 +423,17 @@ def _resolve_output(path: str | None) -> Path | None:
     return resolved
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Path | None):
+    """stdout, or a temp file that replaces `path` only once fully written."""
+    if path is None:
+        yield sys.stdout
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         os.unlink(tmp_name)
@@ -521,17 +554,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    # int flags and the params echoed back may exceed the limit as well
+    # int flags, the params echoed back and sweep ints written may exceed the limit
     with _exact_int_strings():
         config = config_from_args(build_parser().parse_args(argv))
         envelope, code = run(config)
-        text = _RENDERERS[config.fmt](envelope)
-    destination = _resolve_output(config.output)
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(destination, text)
-    return code
+        with _output(_resolve_output(config.output)) as out:
+            _WRITERS[config.fmt](envelope, out)
+    return EXIT_FAILED if envelope.payload.get("classification_holds") is False else code
 
 
 if __name__ == "__main__":

@@ -11,14 +11,15 @@ n >= 3 the strict inequality follows termwise from
     (n+k-l+1) * l >= 2n+2k-l        for l = 2..n,
 
 each term being equivalent to n+k >= l.  Everything here is exact big-integer
-arithmetic; sweeps check the classification exhaustively over user ranges.
+arithmetic; sweeps check the classification exhaustively over user ranges,
+streaming rows computed by exact recurrence in k (TAOCP vol. 1 section 1.2.6).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .invariants import ScrollData, ScrollReport, build_report
 from .ring import binomial
@@ -85,25 +86,45 @@ def termwise_check(n: int, k: int) -> TermwiseRecord:
     return TermwiseRecord(n=n, k=k, terms=tuple(terms))
 
 
-def sweep(n_range: Iterable[int], k_range: Iterable[int]) -> SweepResult:
-    """Inequality records for every (n, k) pair, ordered by (n, k).
+def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[InequalityRecord]:
+    """Inequality records for every (n, k) pair, yielded in (n, k) order.
 
-    Also returns the set of pairs where equality holds; by the classification
-    that set should be exactly the n <= 2 part of the grid.
+    The ranges are validated at call time.  Along a row C(n+k-1, k-1) and
+    C(2n+2k-1, n) step from k-1 to k by exact ratios, reseeded at each row
+    start and k gap; each record equals `inequality_check(n, k)`.
     """
     n_values = sorted(set(n_range))
     k_values = sorted(set(k_range))
     if not n_values or not k_values:
         raise ValueError("sweep ranges must be nonempty")
-    records = []
-    equality = []
-    for n in n_values:
-        for k in k_values:
-            rec = inequality_check(n, k)
-            records.append(rec)
-            if rec.relation == "eq":
-                equality.append((n, k))
-    return SweepResult(records=tuple(records), equality_set=tuple(equality))
+    if n_values[0] < 1 or k_values[0] < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n_values[0]}, k={k_values[0]}")
+
+    def rows():
+        for n in n_values:
+            factorial = math.factorial(n)
+            previous = None
+            for k in k_values:
+                m = 2 * n + 2 * k - 1
+                if k - 1 == previous:
+                    left = left * (n + k - 1) // (k - 1)
+                    right = right * (m - 1) * m // ((m - n - 1) * (m - n))
+                else:
+                    left = binomial(n + k - 1, k - 1)
+                    right = binomial(m, n)
+                previous = k
+                lhs, rhs = left * m * factorial, k * right
+                relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
+                yield InequalityRecord(n=n, k=k, lhs=lhs, rhs=rhs, relation=relation)
+
+    return rows()
+
+
+def sweep(n_range: Iterable[int], k_range: Iterable[int]) -> SweepResult:
+    """All records of `sweep_records`, and the (n, k) pairs where equality holds."""
+    records = tuple(sweep_records(n_range, k_range))
+    equality = tuple((r.n, r.k) for r in records if r.relation == "eq")
+    return SweepResult(records=records, equality_set=equality)
 
 
 def very_ample_bound(n: int, l: int) -> int:

@@ -1,9 +1,14 @@
 import contextlib
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +16,7 @@ import pytest
 
 import scrolls
 from scrolls.cli import RunConfig, main, render_json, run
-from scrolls.verifier import inequality_check
+from scrolls.verifier import inequality_check, sweep_records
 
 
 def run_cli(capsys, argv):
@@ -99,6 +104,117 @@ def test_verify_csv_columns(capsys):
     assert lines[0] == "n,k,lhs,rhs,relation"
     assert len(lines) == 5
     assert "\r" not in out
+
+
+def _grid_argv(n_range, k_range):
+    return ["verify", "--n-min", str(n_range[0]), "--n-max", str(n_range[-1]),
+            "--k-min", str(k_range[0]), "--k-max", str(k_range[-1])]
+
+
+def _reference_verify(n_range, k_range, fmt, timestamp):
+    """verify output rebuilt from the per-pair oracle with json.dumps and csv.writer."""
+    records = [inequality_check(n, k) for n in n_range for k in k_range]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["n", "k", "lhs", "rhs", "relation"])
+        writer.writerows([r.n, r.k, r.lhs, r.rhs, r.relation] for r in records)
+        return buffer.getvalue()
+    equality = [[r.n, r.k] for r in records if r.relation == "eq"]
+    holds = all(r.relation == ("eq" if r.n <= 2 else "gt") for r in records)
+    if fmt == "text":
+        return (f"scrolls {scrolls.__version__} :: verify\n"
+                f"  {len(records)} pairs checked; equality at {len(equality)} of them\n"
+                f"  classification holds: {holds}\n")
+    envelope = {
+        "version": scrolls.__version__,
+        "command": "verify",
+        "timestamp": timestamp,
+        "params": {"n_min": n_range[0], "n_max": n_range[-1],
+                   "k_min": k_range[0], "k_max": k_range[-1]},
+        "payload": {
+            "kind": "sweep",
+            "records": [{"n": r.n, "k": r.k, "lhs": str(r.lhs), "rhs": str(r.rhs),
+                         "relation": r.relation} for r in records],
+            "equality_set": equality,
+            "classification_holds": holds,
+        },
+        "warnings": [],
+    }
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(("n_range", "k_range"), [
+    (range(1, 6), range(1, 8)),
+    (range(3, 10), range(4, 5)),  # no equality pairs
+    (range(1, 2), range(1, 2)),
+    (range(1, 3), range(1, 301)),  # equality at every pair
+    (range(2000, 2001), range(1, 2)),  # more than 4300 digits
+])
+def test_verify_output_matches_oracle_reference(capsys, n_range, k_range, fmt):
+    code, out = run_cli(capsys, _grid_argv(n_range, k_range) + ["--format", fmt])
+    assert code == 0
+    stamp = re.search(r'^  "timestamp": "([^"]*)",$', out, re.M)
+    with no_int_digit_limit():
+        expected = _reference_verify(n_range, k_range, fmt, stamp and stamp.group(1))
+    assert out == expected
+
+
+def _tampered_rows(ns, ks):
+    # one record of the n <= 2 part claims a strict inequality
+    for rec in sweep_records(ns, ks):
+        yield dataclasses.replace(rec, relation="gt") if (rec.n, rec.k) == (2, 2) else rec
+
+
+def test_verify_classification_violation_exits_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("scrolls.cli.sweep_records", _tampered_rows)
+    argv = _grid_argv(range(1, 5), range(1, 4))
+    code, env = run_cli_json(capsys, argv)
+    assert code == 1
+    assert env["payload"]["classification_holds"] is False
+    assert [2, 2] not in env["payload"]["equality_set"]
+    assert env["warnings"] == ["equality classification violated on this grid"]
+
+    target = tmp_path / "sweep.txt"
+    assert main(argv + ["--format", "text", "--output", str(target)]) == 1
+    text = target.read_text()
+    assert "  classification holds: False\n" in text
+    assert text.endswith("  warning: equality classification violated on this grid\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_failure_mid_stream_keeps_previous_output(tmp_path, monkeypatch, fmt):
+    target = tmp_path / f"sweep.{fmt}"
+    argv = _grid_argv(range(1, 7), range(1, 7)) + ["--format", fmt, "--output", str(target)]
+    assert main(argv) == 0
+    before = target.read_bytes()
+
+    def failing_rows(ns, ks):
+        for index, rec in enumerate(sweep_records(ns, ks)):
+            if index == 3:
+                raise RuntimeError("row source failed")
+            yield rec
+
+    monkeypatch.setattr("scrolls.cli.sweep_records", failing_rows)
+    with pytest.raises(RuntimeError, match="row source failed"):
+        main(argv)
+    assert target.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_streams_without_holding_the_grid(tmp_path, fmt):
+    # the whole 150 x 150 output is about 8 MB of JSON
+    argv = _grid_argv(range(1, 151), range(1, 151))
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--format", fmt, "--output", str(tmp_path / "sweep.out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 def test_family_reports_and_note(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scrolls.invariants import ScrollData, double_point_number
 from scrolls.verifier import (
@@ -6,6 +8,7 @@ from scrolls.verifier import (
     conjecture_family_report,
     inequality_check,
     sweep,
+    sweep_records,
     termwise_check,
     very_ample_bound,
 )
@@ -64,6 +67,29 @@ def test_sweep_unordered_input_is_sorted():
 def test_sweep_empty_range_rejected():
     with pytest.raises(ValueError):
         sweep(range(1, 1), range(1, 5))
+
+
+# unsorted, repeated, with gaps; n = 1 and k = 1 drawn often
+grid_values = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 60)), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_values, grid_values)
+@example([7, 1, 3, 1], [9, 1, 4, 5, 2])
+def test_sweep_records_match_per_pair_oracle(ns, ks):
+    expected = [inequality_check(n, k) for n in sorted(set(ns)) for k in sorted(set(ks))]
+    assert list(sweep_records(ns, ks)) == expected
+
+
+@pytest.mark.parametrize(("ns", "ks", "message"), [
+    ([2, 0, 3], [1, 2], "got n=0, k=1"),
+    ([1, 2], [4, 0], "got n=1, k=0"),
+    ([], [1], "nonempty"),
+    ([1], range(3, 1), "nonempty"),
+])
+def test_sweep_records_validates_at_call_time(ns, ks, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_records(ns, ks)  # no next(): the error must not wait for the first record
 
 
 def test_equality_exactly_for_n_at_most_two():
