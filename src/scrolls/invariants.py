@@ -96,15 +96,6 @@ class ScrollReport:
     flags: tuple = field(default_factory=tuple)
 
 
-def _series_binomial(m: int, j: int) -> int:
-    """Coefficient of x^j in (1+x)^m for any integer m (signed when m < 0)."""
-    if j < 0:
-        return 0
-    if m >= 0:
-        return binomial(m, j)
-    return (-1) ** j * binomial(j - m - 1, j)
-
-
 def _hyperplane_class(shape: RingShape) -> TruncPoly:
     # h vanishes identically when h_cap = 0 (k = 1).
     terms = [(1, 0, 1)]
@@ -151,7 +142,7 @@ def top_chern_normal(n: int, k: int, l: int) -> int:
     engine = product_coefficient(
         power_signed(ambient, l), power_signed(one_plus_h, -k), n, k - 1
     )
-    closed = binomial(l, n) * _series_binomial(l - n - k, k - 1)
+    closed = binomial(l, n) * binomial(l - n - k, k - 1)
     if engine != closed:
         raise EngineMismatchError(
             f"top Chern coefficient at (n={n}, k={k}, l={l}): engine {engine} != closed form {closed}"

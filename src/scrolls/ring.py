@@ -10,20 +10,21 @@ The two generators model the first Chern class of a polarization (c, nilpotent
 of order c_cap+1) and the hyperplane class of a projective-space factor (h,
 nilpotent of order h_cap+1).  Both caps cut off monomials during every
 product, so all operations stay within the (c_cap+1) x (h_cap+1) grid.
+
+Every signed power, inverses included, comes from power_signed: Miller's power
+recurrence degree by degree for a unit (Knuth, TAOCP vol. 2, section 4.7), and
+at most c_cap + h_cap + 1 factors multiplied out for a nilpotent element.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
-
-# Sparse bases up to this many terms are powered by direct multinomial
-# expansion (with cap pruning); denser ones fall back to repeated squaring.
-_MULTINOMIAL_MAX_TERMS = 4
 
 
 class ExponentRangeError(ValueError):
@@ -206,91 +207,57 @@ def binomial(a: int, b: int) -> int:
 
 
 def power_signed(p: TruncPoly, e: int) -> TruncPoly:
-    """Exact p**e for any integer e; negative e inverts first.
+    """Exact p**e for any integer e, by J.C.P. Miller's power recurrence.
 
-    The inverse exists iff the constant term is nonzero and is computed by the
-    Neumann series in the nilpotent part, which terminates after at most
-    c_cap + h_cap + 1 terms.
+    The ring is graded by total degree and the Euler operator E = c d/dc +
+    h d/dh is a derivation that survives the monomial truncation, so q = p**e
+    satisfies p E(q) = e q E(p).  With P_s and Q_g the degree-s and degree-g
+    parts of p and q and a = p(0) != 0, this reads
+
+        g a Q_g = sum_{s=1..g} (s (e + 1) - g) P_s Q_{g-s},   Q_0 = a**e,
+
+    one pass for either sign of e (Knuth, TAOCP vol. 2, section 4.7).  A
+    non-unit (a = 0) has no negative powers; its non-negative powers are
+    multiplied out, and vanish from the (c_cap + h_cap + 1)-th on.
     """
-    if e < 0:
-        return _power_nonneg(inverse(p), -e)
-    return _power_nonneg(p, e)
+    e = operator.index(e)
+    shape = p.shape
+    cc, hc = shape.c_cap, shape.h_cap
+    a = p.constant_term()
+    if a == 0:
+        if e < 0:
+            raise NotInvertibleError("constant term is zero; element is not a unit")
+        result = one(shape)
+        for _ in range(min(e, cc + hc + 1)):
+            result = mul(result, p)
+        return result
+    parts: dict = {}
+    for (i, j), v in p.coeffs.items():
+        if i or j:
+            parts.setdefault(i + j, []).append((i, j, v))
+    levels = [{(0, 0): _canon(Fraction(a) ** e)}]
+    for g in range(1, cc + hc + 1):
+        acc: dict = {}
+        for s, terms in parts.items():
+            weight = s * (e + 1) - g
+            if s > g or not weight:
+                continue
+            lower = levels[g - s].items()
+            for mi, mj, pv in terms:
+                wp = weight * pv
+                for (qi, qj), qv in lower:
+                    i, j = mi + qi, mj + qj
+                    if i <= cc and j <= hc:
+                        acc[i, j] = acc.get((i, j), 0) + wp * qv
+        # Exact int division where it divides keeps integer powers off Fraction.
+        div = g * a
+        levels.append({
+            key: v // div if type(v) is int and type(div) is int and not v % div
+            else _canon(Fraction(v) / div)
+            for key, v in acc.items() if v
+        })
+    return TruncPoly(shape, {key: v for level in levels for key, v in level.items()})
 
 
 def inverse(p: TruncPoly) -> TruncPoly:
-    a = p.constant_term()
-    if a == 0:
-        raise NotInvertibleError("constant term is zero; element is not a unit")
-    shape = p.shape
-    inv_a = _canon(Fraction(1, 1) / a)
-    # p = a + N with N nilpotent: 1/p = sum_t (-1)^t N^t / a^(t+1).
-    nilpotent = TruncPoly(shape, {m: v for m, v in p.coeffs.items() if m != (0, 0)})
-    scaled = TruncPoly(shape, {m: _canon(-v * inv_a) for m, v in nilpotent.coeffs.items()})
-    acc = one(shape)
-    total = acc
-    for _ in range(shape.c_cap + shape.h_cap):
-        acc = mul(acc, scaled)
-        if not acc:
-            break
-        total = add(total, acc)
-    return TruncPoly(shape, {m: _canon(v * inv_a) for m, v in total.coeffs.items()})
-
-
-def _power_nonneg(p: TruncPoly, e: int) -> TruncPoly:
-    if e == 0:
-        return one(p.shape)
-    if e == 1 or not p.coeffs:
-        return p
-    if len(p.coeffs) <= _MULTINOMIAL_MAX_TERMS:
-        return _power_multinomial(p, e)
-    return _power_squaring(p, e)
-
-
-def _power_squaring(p: TruncPoly, e: int) -> TruncPoly:
-    result = one(p.shape)
-    base = p
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
-
-
-def _power_multinomial(p: TruncPoly, e: int) -> TruncPoly:
-    """Direct multinomial expansion of p**e with cap pruning.
-
-    Enumerates exponent splits of e across the terms of p depth-first,
-    abandoning any branch whose accumulated degree already exceeds a cap.
-    Multinomial prefactors are built incrementally as products of binomial
-    rows, so the whole walk stays in exact integer arithmetic.
-    """
-    cc, hc = p.shape.c_cap, p.shape.h_cap
-    terms = sorted(p.coeffs.items())
-    out: dict = {}
-
-    def walk(idx: int, remaining: int, deg_c: int, deg_h: int, weight: Rational) -> None:
-        (mi, mj), cv = terms[idx]
-        if idx == len(terms) - 1:
-            dc = deg_c + mi * remaining
-            dh = deg_h + mj * remaining
-            if dc <= cc and dh <= hc:
-                key = (dc, dh)
-                out[key] = out.get(key, 0) + weight * cv**remaining
-            return
-        t_max = remaining
-        if mi:
-            t_max = min(t_max, (cc - deg_c) // mi)
-        if mj:
-            t_max = min(t_max, (hc - deg_h) // mj)
-        choose = 1  # C(remaining, t), updated per step
-        coeff_pow: Rational = 1
-        for t in range(t_max + 1):
-            if t:
-                choose = choose * (remaining - t + 1) // t
-                coeff_pow = coeff_pow * cv
-            walk(idx + 1, remaining - t, deg_c + mi * t, deg_h + mj * t, weight * choose * coeff_pow)
-
-    walk(0, e, 0, 0, 1)
-    return TruncPoly(p.shape, {k: _canon(v) for k, v in out.items() if v != 0})
+    return power_signed(p, -1)

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrolls import invariants
+from scrolls import invariants, ring
 from scrolls.invariants import (
     ScrollData,
     VERDICT_DOUBLE_POINTS,
     VERDICT_SMOOTH,
-    _series_binomial,
     build_report,
     double_point_number,
     hyperplane_power_coefficient,
@@ -51,15 +50,8 @@ def test_top_chern_general_l_closed_form():
     for n in range(1, 7):
         for k in range(1, 7):
             for l in (n + k, n + k + 1, 2 * n + 2 * k - 1, 2 * n + 2 * k + 3):
-                expected = binomial(l, n) * _series_binomial(l - n - k, k - 1)
+                expected = binomial(l, n) * binomial(l - n - k, k - 1)
                 assert top_chern_normal(n, k, l) == expected
-
-
-def test_series_binomial_negative_exponent():
-    # (1+h)^(-2) = 1 - 2h + 3h^2 - 4h^3 + ...
-    assert [_series_binomial(-2, j) for j in range(5)] == [1, -2, 3, -4, 5]
-    assert _series_binomial(3, 5) == 0
-    assert _series_binomial(3, -1) == 0
 
 
 def test_scroll_degree_examples():
@@ -124,6 +116,19 @@ def test_build_report_runs_each_engine_extraction_once(monkeypatch):
     assert calls == {"top_chern_normal": 1, "hyperplane_power_coefficient": 1}
     assert report.deg_Y == scroll_degree(data)
     assert report.double_point == double_point_number(data) == 2592
+
+
+def test_top_chern_normal_makes_no_ring_products(monkeypatch):
+    calls = Counter()
+    original = ring.mul
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(ring, "mul", counted)
+    assert top_chern_normal(30, 30, 119) == binomial(119, 30) * binomial(59, 29)
+    assert calls["mul"] == 0
 
 
 def test_build_report_flags_impossible_and_fractional():

@@ -94,6 +94,14 @@ def test_inverse_geometric_series():
     assert inverse(p) == expected
 
 
+def test_series_binomial_negative_exponent():
+    # (1+h)^(-2) = 1 - 2h + 3h^2 - 4h^3 + 5h^4 once h^5 is truncated away
+    shape = RingShape(0, 4)
+    p = make_poly(shape, [(0, 0, 1), (0, 1, 1)])
+    expected = make_poly(shape, [(0, j, (-1) ** j * (j + 1)) for j in range(5)])
+    assert power_signed(p, -2) == expected
+
+
 def test_power_trinomial_coefficient():
     # coefficient of c*h in (1+c+h)^5 is 5!/(1!*1!*3!) = 20
     shape = RingShape(1, 1)
@@ -112,6 +120,19 @@ def test_negative_power_needs_unit():
     p = make_poly(shape, [(1, 0, 1)])
     with pytest.raises(NotInvertibleError):
         power_signed(p, -1)
+
+
+def test_power_rejects_non_integer_exponent():
+    p = make_poly(RingShape(2, 1), [(0, 0, 1), (1, 0, 1)])
+    for e in (-1.0, 1.0, 2.0):
+        with pytest.raises(TypeError):
+            power_signed(p, e)
+
+
+def test_nilpotent_power_past_the_caps_is_zero():
+    shape = RingShape(3, 2)
+    p = make_poly(shape, [(1, 0, 1), (0, 1, 1)])
+    assert power_signed(p, 10**9) == zero(shape)
 
 
 def test_coefficient_examples():
@@ -237,14 +258,30 @@ def test_power_addition_law(data, a, b):
     assert power_signed(p, a + b) == mul(power_signed(p, a), power_signed(p, b))
 
 
-@settings(derandomize=True, max_examples=50)
-@given(shaped_polys(count=1), st.integers(0, 5))
-def test_power_matches_iterated_mul(data, e):
-    shape, p = data
-    expected = one(shape)
+def iterated_mul(shape: RingShape, p: TruncPoly, e: int) -> TruncPoly:
+    out = one(shape)
     for _ in range(e):
-        expected = mul(expected, p)
-    assert power_signed(p, e) == expected
+        out = mul(out, p)
+    return out
+
+
+@settings(derandomize=True, max_examples=120)
+@given(shaped_polys(count=1, max_cap=6, max_terms=6), coefficients, st.integers(-9, 9))
+def test_power_matches_iterated_mul(data, constant, e):
+    # the added constant term may be 0 (p not a unit), +-1 or any other rational
+    shape, p = data
+    p = add(p, make_poly(shape, [(0, 0, constant)]))
+    if e < 0 and p.constant_term() == 0:
+        with pytest.raises(NotInvertibleError):
+            power_signed(p, e)
+        return
+    q = power_signed(p, e)
+    if e >= 0:
+        assert q == iterated_mul(shape, p, e)
+    else:
+        assert mul(q, iterated_mul(shape, p, -e)) == one(shape)
+    for v in q.coeffs.values():  # canonical: no zeros, integral values are ints
+        assert type(v) is int and v != 0 or type(v) is Fraction and v.denominator != 1
 
 
 @settings(derandomize=True, max_examples=60)
