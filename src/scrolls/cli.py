@@ -175,8 +175,10 @@ def _run_bound(config: RunConfig):
 
 
 def _probe_payload(config: RunConfig, emb, generator, warnings: list):
-    from .theta import cyclic_group, scroll_smoothness_probe
+    from .theta import _check_group_order, cyclic_group, scroll_smoothness_probe
 
+    # an oversized order is refused before its points are built
+    _check_group_order(emb, generator.actual_order)
     group = cyclic_group(emb, generator.point, generator.actual_order)
     if not generator.exact_order:
         warnings.append(
@@ -558,8 +560,14 @@ def main(argv=None) -> int:
     with _exact_int_strings():
         config = config_from_args(build_parser().parse_args(argv))
         envelope, code = run(config)
-        with _output(_resolve_output(config.output)) as out:
-            _WRITERS[config.fmt](envelope, out)
+        try:
+            with _output(_resolve_output(config.output)) as out:
+                _WRITERS[config.fmt](envelope, out)
+        except OSError as exc:
+            # an unwritable --output is a usage error, not a failed check
+            target = config.output or "stdout"
+            print(f"scrolls: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_FAILED if envelope.payload.get("classification_holds") is False else code
 
 

@@ -16,9 +16,11 @@ a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
 
     s_j(z) = theta[(0, j/d), 0](z, Omega),   j = 0..d-1.
 
-All lattice sums are truncated so that the discarded tail is below e^-40
-(~4e-18) of the largest retained term, input-dependently; one exponent
-matrix per point gives both the values and the derivative.
+A torus point is a Python complex (genus 1) or a complex128 array (genus 2),
+so plain + and - serve both genera.  Lattice sums are truncated so that the
+discarded tail is below e^-40 (~4e-18) of the largest retained term, with a
+radius computed per point from the period, never set by the caller; one
+exponent matrix per point gives both the values and the derivative.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
@@ -34,7 +36,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -65,42 +67,42 @@ class ThetaEmbedding:
     matrix with positive definite imaginary part for genus 2.  degree is the
     embedding degree m (genus 1) or the d of a type (1, d) polarization
     (genus 2); the section count equals it in both cases.  truncation_radius
-    is the lattice-sum cutoff at the origin; evaluation widens it per point.
+    is computed, not set: the lattice-sum cutoff at the origin, which
+    evaluation widens per point.
     """
 
     genus: int
     period: object
     degree: int
-    truncation_radius: int = 0
+    truncation_radius: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.genus not in (1, 2):
             raise ConfigurationError(f"genus must be 1 or 2, got {self.genus}")
         if self.degree < 3:
             raise ConfigurationError(f"need at least 3 sections, got degree {self.degree}")
+        # the period is stored as complex (genus 1) or a complex 2x2 array
+        period = complex(self.period) if self.genus == 1 else np.asarray(self.period, dtype=complex)
+        if not np.all(np.isfinite(period)):
+            raise ConfigurationError("period entries must be finite")
+        object.__setattr__(self, "period", period)
         # per-embedding constants of the lattice sums, computed once here
         if self.genus == 1:
-            tau = complex(self.period)
-            if not tau.imag > 0:
-                raise ConfigurationError(f"Im(tau) must be positive, got {tau}")
-            base_scale = self.degree * tau.imag
+            if not period.imag > 0:
+                raise ConfigurationError(f"Im(tau) must be positive, got {period}")
+            base_scale = self.degree * period.imag
             object.__setattr__(self, "_chars", (np.arange(self.degree) / self.degree)[:, None])
         else:
-            omega = np.asarray(self.period, dtype=complex)
-            if omega.shape != (2, 2) or not np.allclose(omega, omega.T, atol=1e-14):
+            if period.shape != (2, 2) or not np.allclose(period, period.T, atol=1e-14):
                 raise ConfigurationError("genus-2 period must be a symmetric 2x2 matrix")
-            eigs = np.linalg.eigvalsh(omega.imag)
-            if eigs[0] <= 0:
+            base_scale = float(np.linalg.eigvalsh(period.imag)[0])
+            if base_scale <= 0:
                 raise ConfigurationError("Im(period) must be positive definite")
-            object.__setattr__(self, "period", omega)
-            base_scale = float(eigs[0])
             chars = np.zeros((self.degree, 2))
             chars[:, 1] = np.arange(self.degree) / self.degree
             object.__setattr__(self, "_eig_min", base_scale)
             object.__setattr__(self, "_chars", chars[:, None, :])
-        radius = _radius_for(base_scale, 0.0)
-        if radius > self.truncation_radius:
-            object.__setattr__(self, "truncation_radius", radius)
+        object.__setattr__(self, "truncation_radius", _radius_for(base_scale, 0.0))
 
     @property
     def section_count(self) -> int:
@@ -108,7 +110,7 @@ class ThetaEmbedding:
 
 
 def elliptic_embedding(m: int, tau: complex) -> ThetaEmbedding:
-    return ThetaEmbedding(genus=1, period=complex(tau), degree=m)
+    return ThetaEmbedding(genus=1, period=tau, degree=m)
 
 
 def surface_embedding(d: int, omega) -> ThetaEmbedding:
@@ -175,10 +177,9 @@ def _genus1_exponents(emb: ThetaEmbedding, z: complex):
     """Index offsets u = r + j/m and exponent matrix, one row per section."""
     m = emb.degree
     w = m * z
-    big_tau = m * complex(emb.period)
+    big_tau = m * emb.period
     y = big_tau.imag
-    offset = abs(w.imag) / y
-    radius = max(_radius_for(y, offset), emb.truncation_radius)
+    radius = _radius_for(y, abs(w.imag) / y)
     center = -w.imag / y
     r = np.arange(math.ceil(center - radius), math.floor(center + radius) + 1)
     u = r[None, :] + emb._chars
@@ -191,7 +192,7 @@ def _genus1_exponents(emb: ThetaEmbedding, z: complex):
 def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
     omega = emb.period
     center = -np.linalg.solve(omega.imag, z.imag)
-    radius = max(_radius_for(emb._eig_min, float(np.linalg.norm(center))), emb.truncation_radius)
+    radius = _radius_for(emb._eig_min, float(np.linalg.norm(center)))
     lo = np.ceil(center - radius - 1).astype(int)
     hi = np.floor(center + radius + 1).astype(int)
     r1, r2 = np.meshgrid(
@@ -294,22 +295,19 @@ def projective_residual(u: np.ndarray, v: np.ndarray) -> float:
 
 def _lattice_coords(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
     """Real coordinates of z in the lattice basis (length 2 or 4)."""
-    if emb.genus == 1:
-        zc = complex(z)
-        tau = complex(emb.period)
-        y = zc.imag / tau.imag
-        x = zc.real - y * tau.real
-        return np.array([x, y])
-    zv = np.asarray(z, dtype=complex)
     omega = emb.period
-    y = np.linalg.solve(omega.imag, zv.imag)
-    x = (zv.real - omega.real @ y) / np.array([1.0, float(emb.degree)])
+    if emb.genus == 1:
+        y = z.imag / omega.imag
+        return np.array([z.real - y * omega.real, y])
+    y = np.linalg.solve(omega.imag, np.imag(z))
+    x = (np.real(z) - omega.real @ y) / np.array([1.0, float(emb.degree)])
     return np.concatenate([x, y])
 
 
 def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray) -> TorusPoint:
+    """The torus point with lattice coordinates `coords` (length 2*genus)."""
     if emb.genus == 1:
-        return complex(coords[0] + coords[1] * complex(emb.period))
+        return complex(coords[0] + coords[1] * emb.period)
     x, y = coords[:2], coords[2:]
     return np.array([1.0, float(emb.degree)]) * x + emb.period @ y
 
@@ -325,64 +323,51 @@ def reduce_mod_lattice(emb: ThetaEmbedding, z: TorusPoint) -> TorusPoint:
     return _point_from_coords(emb, coords)
 
 
-def _add(a: TorusPoint, b: TorusPoint) -> TorusPoint:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
-    return a + b
-
-
-def _sub(a: TorusPoint, b: TorusPoint) -> TorusPoint:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return a - b
-
-
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     """The torsion point (a + b*period)/order, with an exact-order flag.
 
     For genus 1, a and b are integers; for genus 2, integer pairs (components
-    in the lattice basis D*Z^2 + Omega*Z^2).  The flag is true iff the point
-    has order exactly `order`, i.e. gcd of all components with order is 1.
+    in the lattice basis D*Z^2 + Omega*Z^2).  Components are reduced mod
+    `order` exactly, which moves the point by a lattice vector only.  The flag
+    is true iff the point has order exactly `order`, i.e. gcd of all
+    components with order is 1.
     """
     if order == 0:
         raise ValueError("torsion order must be nonzero")
     order = abs(order)
-    if emb.genus == 1:
-        a_int, b_int = int(a), int(b)
-        point = (a_int + b_int * complex(emb.period)) / order
-        g = math.gcd(a_int, b_int, order)
-    else:
-        av = np.asarray(a, dtype=int)
-        bv = np.asarray(b, dtype=int)
-        if av.shape != (2,) or bv.shape != (2,):
-            raise ValueError("genus-2 torsion components must be integer pairs")
-        point = (np.array([1.0, float(emb.degree)]) * av + emb.period @ bv) / order
-        g = math.gcd(int(av[0]), int(av[1]), int(bv[0]), int(bv[1]), order)
-    actual = order // g
+    components = [int(c) % order for c in np.ravel((a, b))]
+    if len(components) != 2 * emb.genus:
+        raise ValueError(f"genus-{emb.genus} torsion needs {2 * emb.genus} integer components")
+    point = _point_from_coords(emb, np.array(components, dtype=float)) / order
+    g = math.gcd(*components, order)
     return TorsionPoint(
-        point=point, requested_order=order, actual_order=actual, exact_order=g == 1
+        point=point, requested_order=order, actual_order=order // g, exact_order=g == 1
     )
+
+
+def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
+    """Refuse a subgroup order too large for the immersion probe's 2k rows."""
+    if 2 * order > emb.section_count - 1:
+        raise ValueError(
+            f"group order {order} too large for {emb.section_count} sections: "
+            "the immersion probe needs 2k <= section_count - 1"
+        )
 
 
 def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list:
     """The cyclic subgroup {0, g, 2g, ...} of the given order, as torus points."""
     if order < 1:
         raise ValueError("group order must be positive")
-    if emb.genus == 1:
-        zero_pt: TorusPoint = 0j
-    else:
-        zero_pt = np.zeros(2, dtype=complex)
-    points = [zero_pt]
-    for t in range(1, order):
-        points.append(_add(points[-1], generator))
+    points = [_point_from_coords(emb, np.zeros(2 * emb.genus))]
+    for _ in range(1, order):
+        points.append(points[-1] + generator)
     return points
 
 
 def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 1e-12) -> None:
     for p in group:
         for q in group:
-            s = _add(p, q)
-            if min(lattice_distance(emb, _sub(s, r)) for r in group) > tol:
+            if min(lattice_distance(emb, p + q - r) for r in group) > tol:
                 raise ValueError("point set is not closed under addition modulo the lattice")
 
 
@@ -443,7 +428,7 @@ def fibre_independence_probe(
     """Check that the translates of one point by the subgroup embed to |G|
     independent points (base-point freeness of the scroll's fibres)."""
     _check_group(emb, group)
-    embedded = [theta_basis_eval(emb, _add(base, rho)) for rho in group]
+    embedded = [theta_basis_eval(emb, base + rho) for rho in group]
     return _cluster_probe(embedded, _rows(embedded), len(group), tol)
 
 
@@ -479,42 +464,25 @@ def very_ampleness_cluster_probe(
 def _pair_offset(emb: ThetaEmbedding, group: Sequence[TorusPoint]) -> TorusPoint:
     """Deterministic offset whose difference from every group element stays
     away from the lattice, used to pair grid points into two-fibre clusters."""
-    dim = 1 if emb.genus == 1 else 2
     for t in range(64):
-        coords = np.array(
-            [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * dim
-        )[: 2 * dim]
-        if emb.genus == 1:
-            offset: TorusPoint = complex(coords[0] + coords[1] * complex(emb.period))
-        else:
-            offset = _point_from_coords(emb, coords)
-        if min(lattice_distance(emb, _sub(offset, r)) for r in group) > 1e-2:
+        coords = [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus
+        offset = _point_from_coords(emb, np.array(coords))
+        if min(lattice_distance(emb, offset - r) for r in group) > 1e-2:
             return offset
     raise ConfigurationError("could not find a pairing offset away from the subgroup")
 
 
 def _random_point(emb: ThetaEmbedding, rng: np.random.Generator) -> TorusPoint:
-    dim = 1 if emb.genus == 1 else 2
-    coords = rng.random(2 * dim)
-    if emb.genus == 1:
-        return complex(coords[0] + coords[1] * complex(emb.period))
-    return _point_from_coords(emb, coords)
+    return _point_from_coords(emb, rng.random(2 * emb.genus))
 
 
 def _grid_points(emb: ThetaEmbedding) -> list:
-    side = _GRID_SIDE
-    offsets = [(i + 0.5) / side for i in range(side)]
-    points = []
-    if emb.genus == 1:
-        tau = complex(emb.period)
-        for x in offsets:
-            for y in offsets:
-                points.append(complex(x + y * tau))
-    else:
-        for x in offsets:
-            for y in offsets:
-                points.append(_point_from_coords(emb, np.array([x, y, y, x])))
-    return points
+    offsets = [(i + 0.5) / _GRID_SIDE for i in range(_GRID_SIDE)]
+    return [
+        _point_from_coords(emb, np.array([x, y, y, x][: 2 * emb.genus]))
+        for x in offsets
+        for y in offsets
+    ]
 
 
 def scroll_smoothness_probe(
@@ -535,11 +503,7 @@ def scroll_smoothness_probe(
     if samples < 0:
         raise ValueError("samples must be non-negative")
     k = len(group)
-    if 2 * k > emb.section_count - 1:
-        raise ValueError(
-            f"group order {k} too large for {emb.section_count} sections: "
-            "the immersion probe needs 2k <= section_count - 1"
-        )
+    _check_group_order(emb, k)
     _check_group(emb, group)
     rng = np.random.default_rng(seed)
     grid = _grid_points(emb)
@@ -554,10 +518,7 @@ def scroll_smoothness_probe(
         margins.append(probe.margin)
 
     for index, base in enumerate(randoms + grid):
-        if index < samples:
-            partner = _draw_partner(emb, group, base, rng)
-        else:
-            partner = _add(base, offset)
+        partner = _draw_partner(emb, group, base, rng, offset) if index < samples else base + offset
         if emb.genus == 1:
             tangent: object = 1.0
         else:
@@ -566,9 +527,9 @@ def scroll_smoothness_probe(
         # one evaluation per point, the fibre's with its derivative; partners
         # come after the fibre probe is recorded, so an error there keeps it
         try:
-            fibre = [theta_basis_eval(emb, _add(base, rho), tangent=tangent) for rho in group]
+            fibre = [theta_basis_eval(emb, base + rho, tangent=tangent) for rho in group]
             record(_cluster_probe(fibre, _rows(fibre), k, tol))
-            cluster = fibre + [theta_basis_eval(emb, _add(partner, rho)) for rho in group]
+            cluster = fibre + [theta_basis_eval(emb, partner + rho) for rho in group]
             record(_cluster_probe(cluster, _rows(cluster), 2 * k, tol))
             record(_cluster_probe(fibre, _rows(fibre, with_derivatives=True), 2 * k, tol))
         except (EvaluationError, ConfigurationError):
@@ -587,10 +548,9 @@ def scroll_smoothness_probe(
     )
 
 
-def _draw_partner(emb, group, base, rng, attempts: int = 32) -> TorusPoint:
+def _draw_partner(emb, group, base, rng, offset, attempts: int = 32) -> TorusPoint:
     for _ in range(attempts):
         candidate = _random_point(emb, rng)
-        difference = _sub(candidate, base)
-        if min(lattice_distance(emb, _sub(difference, r)) for r in group) > 1e-3:
+        if min(lattice_distance(emb, candidate - base - r) for r in group) > 1e-3:
             return candidate
-    return _add(base, _pair_offset(emb, group))
+    return base + offset

@@ -371,6 +371,66 @@ def test_malformed_complex_flag_exits_three(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe-elliptic", "--m", "5", "--tau", "inf,1"],
+    ["probe-elliptic", "--m", "5", "--tau", "0,inf"],
+    ["probe-surface", "--d", "7", "--omega", "nan,1;0,0;0,1"],
+])
+def test_non_finite_period_is_config_error(capsys, argv):
+    code, env = run_cli_json(capsys, argv)
+    assert code == 3
+    assert "period entries must be finite" in env["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-elliptic", "--m", "5", "--torsion", "1,0,99999999999999999999"],
+    ["probe-surface", "--d", "7", "--torsion", "0,1,0,0,99999999999999999999"],
+])
+def test_oversized_torsion_order_refused_before_the_group_is_built(capsys, monkeypatch, argv):
+    def no_group(*args):
+        raise AssertionError("cyclic_group called for an oversized order")
+
+    # building this group would take memory without bound
+    monkeypatch.setattr("scrolls.theta.cyclic_group", no_group)
+    code, env = run_cli_json(capsys, argv)
+    assert code == 3
+    assert re.match(r"group order \d+ too large for \d+ sections", env["payload"]["message"])
+
+
+@pytest.mark.parametrize("huge, canonical", [
+    (["probe-elliptic", "--m", "5", "--torsion", "100000000000000000001,0,2"],
+     ["probe-elliptic", "--m", "5", "--torsion", "1,0,2"]),
+    (["probe-surface", "--d", "7", "--torsion", "0,-99999999999999999999,0,0,2"],
+     ["probe-surface", "--d", "7", "--torsion", "0,1,0,0,2"]),
+])
+def test_huge_torsion_components_give_the_canonical_payload(capsys, huge, canonical):
+    options = ["--samples", "5", "--seed", "3"]
+    code, env = run_cli_json(capsys, huge + options)
+    expected_code, expected = run_cli_json(capsys, canonical + options)
+    assert code == expected_code == 0
+    assert env["payload"] == expected["payload"]
+    assert env["warnings"] == expected["warnings"]
+
+
+@pytest.mark.parametrize("parent_is_file", [False, True])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, parent_is_file):
+    # an existing directory as the target, or a regular file as its parent
+    if parent_is_file:
+        (tmp_path / "plain_file").write_text("")
+        target = tmp_path / "plain_file" / "x.json"
+    else:
+        target = tmp_path / "existing_dir"
+        target.mkdir()
+    code = main(["invariants", "--n", "1", "--k", "1", "--l", "2", "--cn", "2",
+                 "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("scrolls: error: cannot write ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_unknown_command_exits_three():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -49,6 +49,11 @@ def test_embedding_validation():
         surface_embedding(7, np.array([[1j, 0.5], [0.4, 1j]]))  # not symmetric
     with pytest.raises(ConfigurationError):
         surface_embedding(7, np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
+    for tau in (complex(math.inf, 1), complex(0, math.inf), complex(math.nan, 1)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            elliptic_embedding(5, tau)
+    with pytest.raises(ConfigurationError, match="finite"):
+        surface_embedding(7, np.array([[complex(math.nan, 1), 0], [0, 1j]]))
 
 
 def test_truncation_radius_positive_and_scaling():
@@ -60,6 +65,9 @@ def test_truncation_radius_positive_and_scaling():
     )
     with pytest.raises(ConfigurationError):
         elliptic_embedding(5, 1e-12j)
+    # computed from the period, never set by the caller
+    with pytest.raises(TypeError):
+        ThetaEmbedding(genus=1, period=1j, degree=5, truncation_radius=50)
 
 
 # ------------------------------------------------------------ theta numerics
@@ -171,6 +179,9 @@ def test_torsion_point_examples():
     assert not reduced.exact_order
     assert reduced.actual_order == 2
 
+    # components beyond float precision move the point by a lattice vector only
+    assert torsion_point(emb, 10**20 + 1, -(10**30), 2) == half
+
     with pytest.raises(ValueError):
         torsion_point(emb, 1, 0, 0)
 
@@ -184,6 +195,12 @@ def test_torsion_point_genus2():
     mixed = torsion_point(emb, (0, 2), (2, 0), 4)
     assert not mixed.exact_order
     assert mixed.actual_order == 2
+    with pytest.raises(ValueError, match="4 integer components"):
+        torsion_point(emb, 1, 0, 2)
+    # components beyond int64 are reduced mod the order exactly
+    huge = torsion_point(emb, (10**20, -(10**20) - 1), (0, 10**40), 2)
+    assert np.array_equal(huge.point, eps.point)
+    assert huge.exact_order
 
 
 def test_lattice_reduction():
