@@ -13,6 +13,11 @@ Subcommands:
   probe-elliptic    sampled rank probes for an elliptic-curve scroll
   probe-surface     sampled rank probes for an abelian-surface scroll
 
+Each subcommand's flags are declared once, in its parser.  `main` hands them
+to the command's handler as keyword arguments, and library callers do the
+same: `run(command, **flags)`, e.g. `run("very-ample-bound", n=3, l=13)`.  The
+envelope echoes the flags as passed, complex ones as [re, im].
+
 Reports are emitted as JSON (default), CSV or text.  All arbitrary-precision
 integers and exact rationals are serialized as decimal strings so no consumer
 ever rounds them.  Identical configurations (including the seed) produce
@@ -56,33 +61,6 @@ EXIT_USAGE = 3
 
 
 @dataclass
-class RunConfig:
-    """Parsed invocation; unused fields stay None for other commands."""
-
-    command: str
-    n: int | None = None
-    k: int | None = None
-    l: int | None = None
-    cn: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    k_min: int | None = None
-    k_max: int | None = None
-    m: int | None = None
-    d: int | None = None
-    tau: complex | None = None
-    omega: tuple | None = None
-    torsion: tuple | None = None
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    tol: float = DEFAULT_TOL
-    cross_check: bool = False
-    expect_smooth: bool = False
-    output: str | None = None
-    fmt: str = "json"
-
-
-@dataclass
 class ReportEnvelope:
     version: str
     command: str
@@ -92,19 +70,7 @@ class ReportEnvelope:
     warnings: list
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "timestamp": self.timestamp,
-            "params": self.params,
-            "payload": self.payload,
-            "warnings": self.warnings,
-        }
-
-
-def _num(value) -> str:
-    """Decimal-string form of an exact integer or rational."""
-    return str(value)
+        return dict(vars(self))
 
 
 def _report_dict(report: ScrollReport) -> dict:
@@ -113,11 +79,11 @@ def _report_dict(report: ScrollReport) -> dict:
         "n": data.n,
         "k": data.k,
         "l": data.l,
-        "cn": _num(data.cn),
+        "cn": str(data.cn),
         "dim_Y": data.dim_y,
-        "deg_Y": _num(report.deg_Y),
-        "top_chern_normal": _num(report.top_chern_normal),
-        "double_point": _num(report.double_point),
+        "deg_Y": str(report.deg_Y),
+        "top_chern_normal": str(report.top_chern_normal),
+        "double_point": str(report.double_point),
         "verdict": report.verdict,
         "linear_system": data.linear_system,
         "flags": list(report.flags),
@@ -126,25 +92,23 @@ def _report_dict(report: ScrollReport) -> dict:
 
 # ------------------------------------------------------------------ handlers
 
-def _run_invariants(config: RunConfig):
-    data = ScrollData(n=config.n, k=config.k, l=config.l, cn=config.cn)
-    report = build_report(data)
+def _run_invariants(n, k, l, cn, cross_check=False, expect_smooth=False):
+    report = build_report(ScrollData(n=n, k=k, l=l, cn=cn))
     warnings = list(report.flags)
-    if config.cross_check:
+    if cross_check:
         # build_report has asserted the engine against the closed form already
         warnings.append("cross-check of closed-form identities passed")
     payload = {"kind": "scroll_report", "reports": [_report_dict(report)]}
     code = EXIT_OK
-    if config.expect_smooth and report.double_point > 0:
+    if expect_smooth and report.double_point > 0:
         code = EXIT_FAILED
     return payload, warnings, code
 
 
-def _run_verify(config: RunConfig):
+def _run_verify(n_min, n_max, k_min, k_max):
     # `records` is a one-pass iterator of InequalityRecord; the fields after
     # it, the warning and main()'s exit code are final once it is consumed
-    rows = sweep_records(range(config.n_min, config.n_max + 1),
-                         range(config.k_min, config.k_max + 1))
+    rows = sweep_records(range(n_min, n_max + 1), range(k_min, k_max + 1))
     payload = {"kind": "sweep", "records": None, "equality_set": [], "classification_holds": True}
     warnings = []
 
@@ -162,32 +126,32 @@ def _run_verify(config: RunConfig):
     return payload, warnings, EXIT_OK
 
 
-def _run_family(config: RunConfig):
-    reports = conjecture_family_report(config.k_max)
+def _run_family(k_max):
+    reports = conjecture_family_report(k_max)
     payload = {"kind": "scroll_report", "reports": [_report_dict(r) for r in reports]}
     return payload, [FAMILY_DEGREE_NOTE], EXIT_OK
 
 
-def _run_bound(config: RunConfig):
-    value = very_ample_bound(config.n, config.l)
-    payload = {"kind": "bound", "n": config.n, "l": config.l, "max_odd_k": value}
+def _run_bound(n, l):
+    payload = {"kind": "bound", "n": n, "l": l, "max_odd_k": very_ample_bound(n, l)}
     return payload, [], EXIT_OK
 
 
-def _probe_payload(config: RunConfig, emb, generator, warnings: list):
-    from .theta import _check_group_order, cyclic_group, scroll_smoothness_probe
+def _probe(emb, a, b, order, samples, seed, tol):
+    """Probe the scroll of `emb` under the subgroup generated by (a + b*period)/order."""
+    from .theta import _check_group_order, cyclic_group, scroll_smoothness_probe, torsion_point
 
+    generator = torsion_point(emb, a, b, order)
     # an oversized order is refused before its points are built
     _check_group_order(emb, generator.actual_order)
     group = cyclic_group(emb, generator.point, generator.actual_order)
+    warnings = []
     if not generator.exact_order:
         warnings.append(
             f"torsion generator has exact order {generator.actual_order}, "
             f"not the requested {generator.requested_order}; using the generated subgroup"
         )
-    summary = scroll_smoothness_probe(
-        emb, group, samples=config.samples, seed=config.seed, tol=config.tol
-    )
+    summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed, tol=tol)
     payload = {
         "kind": "probe",
         "genus": summary.genus,
@@ -195,7 +159,7 @@ def _probe_payload(config: RunConfig, emb, generator, warnings: list):
         "group_order": summary.group_order,
         "samples": summary.samples,
         "seed": summary.seed,
-        "tol": config.tol,
+        "tol": tol,
         "probes": summary.probes,
         "passes": summary.passes,
         "fails": summary.fails,
@@ -211,26 +175,23 @@ def _probe_payload(config: RunConfig, emb, generator, warnings: list):
     return payload, warnings, code
 
 
-def _run_probe_elliptic(config: RunConfig):
-    from .theta import elliptic_embedding, torsion_point
+def _run_probe_elliptic(m, tau, torsion, **options):
+    from .theta import elliptic_embedding
 
-    emb = elliptic_embedding(config.m, config.tau)
-    a, b, order = config.torsion
-    generator = torsion_point(emb, a, b, order)
-    return _probe_payload(config, emb, generator, [])
+    emb = elliptic_embedding(m, tau)
+    a, b, order = torsion
+    return _probe(emb, a, b, order, **options)
 
 
-def _run_probe_surface(config: RunConfig):
+def _run_probe_surface(d, omega, torsion, **options):
     import numpy as np
 
-    from .theta import surface_embedding, torsion_point
+    from .theta import surface_embedding
 
-    o11, o12, o22 = config.omega
-    omega = np.array([[o11, o12], [o12, o22]])
-    emb = surface_embedding(config.d, omega)
-    a1, a2, b1, b2, order = config.torsion
-    generator = torsion_point(emb, (a1, a2), (b1, b2), order)
-    return _probe_payload(config, emb, generator, [])
+    o11, o12, o22 = omega
+    emb = surface_embedding(d, np.array([[o11, o12], [o12, o22]]))
+    a1, a2, b1, b2, order = torsion
+    return _probe(emb, (a1, a2), (b1, b2), order, **options)
 
 
 _HANDLERS = {
@@ -240,16 +201,6 @@ _HANDLERS = {
     "very-ample-bound": _run_bound,
     "probe-elliptic": _run_probe_elliptic,
     "probe-surface": _run_probe_surface,
-}
-
-
-_COMMAND_PARAMS = {
-    "invariants": ("n", "k", "l", "cn", "cross_check", "expect_smooth"),
-    "verify": ("n_min", "n_max", "k_min", "k_max"),
-    "family": ("k_max",),
-    "very-ample-bound": ("n", "l"),
-    "probe-elliptic": ("m", "tau", "torsion", "samples", "seed", "tol"),
-    "probe-surface": ("d", "omega", "torsion", "samples", "seed", "tol"),
 }
 
 
@@ -272,23 +223,13 @@ def _exact_int_strings():
         sys.set_int_max_str_digits(previous)
 
 
-def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
-    """Dispatch a parsed configuration; never raises for bad numeric input."""
-    params = {}
-    for key in _COMMAND_PARAMS[config.command]:
-        value = getattr(config, key)
-        if key == "tau" and value is not None:
-            value = [value.real, value.imag]
-        elif key == "omega" and value is not None:
-            value = [[entry.real, entry.imag] for entry in value]
-        elif isinstance(value, tuple):
-            value = list(value)
-        if value is not None:
-            params[key] = value
+def run(command: str, **params) -> tuple[ReportEnvelope, int]:
+    """Run one subcommand with its flags as keyword arguments; never raises
+    for bad numeric input.  The envelope echoes `params` as passed."""
     try:
         # lifted here too for library callers of run(); main() nests it
         with _exact_int_strings():
-            payload, warnings, code = _HANDLERS[config.command](config)
+            payload, warnings, code = _HANDLERS[command](**params)
     except (EngineMismatchError, AssertionError) as exc:
         payload = {"kind": "error", "message": str(exc)}
         warnings = [f"verification failed: {exc}"]
@@ -299,7 +240,7 @@ def run(config: RunConfig) -> tuple[ReportEnvelope, int]:
         code = EXIT_USAGE
     envelope = ReportEnvelope(
         version=__version__,
-        command=config.command,
+        command=command,
         timestamp=datetime.now(timezone.utc).isoformat(),
         params=params,
         payload=payload,
@@ -317,16 +258,23 @@ _RECORD_JSON = ('      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d
                 '        "rhs": "%d",\n        "relation": "%s"\n      }')
 
 
+def _complex_json(value) -> list:
+    """json.dumps hook: the complex flags (tau, omega) as [re, im]."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(envelope: ReportEnvelope, out) -> None:
     payload = envelope.payload
     if payload.get("kind") != "sweep":
-        out.write(json.dumps(envelope.to_dict(), indent=2) + "\n")
+        out.write(json.dumps(envelope.to_dict(), indent=2, default=_complex_json) + "\n")
         return
 
     def around_records() -> tuple:
         # "\0" (JSON "\u0000") marks the records; no other field can hold it
         data = dict(envelope.to_dict(), payload=dict(payload, records="\0"))
-        return json.dumps(data, indent=2).partition('"\\u0000"')
+        return json.dumps(data, indent=2, default=_complex_json).partition('"\\u0000"')
 
     out.write(around_records()[0] + "[")
     separator = "\n"
@@ -337,6 +285,16 @@ def write_json(envelope: ReportEnvelope, out) -> None:
     out.write("\n    ]" + around_records()[2] + "\n")
 
 
+# CSV columns of the one-table kinds; a scroll report has a row per report,
+# the others one row
+_CSV_COLUMNS = {
+    "scroll_report": ("n", "k", "l", "cn", "deg_Y", "top_chern_normal", "double_point", "verdict"),
+    "probe": ("genus", "sections", "group_order", "samples", "seed",
+              "probes", "passes", "fails", "inconclusives", "min_margin"),
+    "bound": ("n", "l", "max_odd_k"),
+}
+
+
 def write_csv(envelope: ReportEnvelope, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     payload = envelope.payload
@@ -345,23 +303,10 @@ def write_csv(envelope: ReportEnvelope, out) -> None:
         writer.writerow(["n", "k", "lhs", "rhs", "relation"])
         for r in payload["records"]:
             out.write("%d,%d,%d,%d,%s\n" % (r.n, r.k, r.lhs, r.rhs, r.relation))
-    elif kind == "scroll_report":
-        writer.writerow(
-            ["n", "k", "l", "cn", "deg_Y", "top_chern_normal", "double_point", "verdict"]
-        )
-        for rec in payload["reports"]:
-            writer.writerow(
-                [rec["n"], rec["k"], rec["l"], rec["cn"], rec["deg_Y"],
-                 rec["top_chern_normal"], rec["double_point"], rec["verdict"]]
-            )
-    elif kind == "probe":
-        header = ["genus", "sections", "group_order", "samples", "seed",
-                  "probes", "passes", "fails", "inconclusives", "min_margin"]
-        writer.writerow(header)
-        writer.writerow([payload[h] for h in header])
-    elif kind == "bound":
-        writer.writerow(["n", "l", "max_odd_k"])
-        writer.writerow([payload["n"], payload["l"], payload["max_odd_k"]])
+    elif kind in _CSV_COLUMNS:
+        columns = _CSV_COLUMNS[kind]
+        writer.writerow(columns)
+        writer.writerows([rec[c] for c in columns] for rec in payload.get("reports", [payload]))
     else:
         writer.writerow(["error"])
         writer.writerow([payload.get("message", "")])
@@ -411,7 +356,6 @@ def _render(write, envelope: ReportEnvelope) -> str:
 # render_*(envelope) -> str, for library callers
 render_json = functools.partial(_render, write_json)
 render_csv = functools.partial(_render, write_csv)
-render_text = functools.partial(_render, write_text)
 
 
 def _resolve_output(path: str | None) -> Path | None:
@@ -539,33 +483,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for field_name in vars(config):
-        if field_name == "command":
-            continue
-        if hasattr(args, field_name):
-            value = getattr(args, field_name)
-            if value is not None:
-                setattr(config, field_name, value)
-    if args.command == "probe-surface" and config.torsion is None:
-        # the degree-d lattice direction acts by per-section diagonal phases,
-        # which keeps the rank probes well conditioned
-        config.torsion = (0, 1, 0, 0, args.order)
-    return config
-
-
 def main(argv=None) -> int:
     # int flags, the params echoed back and sweep ints written may exceed the limit
     with _exact_int_strings():
-        config = config_from_args(build_parser().parse_args(argv))
-        envelope, code = run(config)
+        params = vars(build_parser().parse_args(argv))
+        command, output, fmt = params.pop("command"), params.pop("output"), params.pop("fmt")
+        if command == "probe-surface":
+            order = params.pop("order")
+            if params["torsion"] is None:
+                # the degree-d lattice direction acts by per-section diagonal
+                # phases, which keeps the rank probes well conditioned
+                params["torsion"] = (0, 1, 0, 0, order)
+        envelope, code = run(command, **params)
         try:
-            with _output(_resolve_output(config.output)) as out:
-                _WRITERS[config.fmt](envelope, out)
+            with _output(_resolve_output(output)) as out:
+                _WRITERS[fmt](envelope, out)
         except OSError as exc:
             # an unwritable --output is a usage error, not a failed check
-            target = config.output or "stdout"
+            target = output or "stdout"
             print(f"scrolls: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_FAILED if envelope.payload.get("classification_holds") is False else code

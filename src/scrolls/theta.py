@@ -338,7 +338,10 @@ def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     components = [int(c) % order for c in np.ravel((a, b))]
     if len(components) != 2 * emb.genus:
         raise ValueError(f"genus-{emb.genus} torsion needs {2 * emb.genus} integer components")
-    point = _point_from_coords(emb, np.array(components, dtype=float)) / order
+    try:
+        point = _point_from_coords(emb, np.array(components, dtype=float)) / order
+    except OverflowError:
+        raise ValueError("torsion order exceeds the floating-point range") from None
     g = math.gcd(*components, order)
     return TorsionPoint(
         point=point, requested_order=order, actual_order=order // g, exact_order=g == 1
@@ -376,7 +379,10 @@ def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 
 def _rank(vectors, tol: float, error: type):
     """Singular value ratios, rank and margin of row-normalized vectors: the
     one rank decision behind span_rank and every cluster probe.  Zero rows
-    raise `error`."""
+    raise `error`.  A tol outside (0, 1), nan included, cannot tell a rank
+    drop from full rank, so it is refused."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     matrix = np.asarray(vectors, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise ValueError("need a nonempty 2-d stack of vectors")

@@ -86,6 +86,13 @@ def termwise_check(n: int, k: int) -> TermwiseRecord:
     return TermwiseRecord(n=n, k=k, terms=tuple(terms))
 
 
+def _ascending(values: Iterable[int]):
+    """Distinct values, ascending; an ascending range is not copied."""
+    if isinstance(values, range) and values.step > 0:
+        return values
+    return sorted(set(values))
+
+
 def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[InequalityRecord]:
     """Inequality records for every (n, k) pair, yielded in (n, k) order.
 
@@ -93,8 +100,7 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
     C(2n+2k-1, n) step from k-1 to k by exact ratios, reseeded at each row
     start and k gap; each record equals `inequality_check(n, k)`.
     """
-    n_values = sorted(set(n_range))
-    k_values = sorted(set(k_range))
+    n_values, k_values = _ascending(n_range), _ascending(k_range)
     if not n_values or not k_values:
         raise ValueError("sweep ranges must be nonempty")
     if n_values[0] < 1 or k_values[0] < 1:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import scrolls
-from scrolls.cli import RunConfig, main, render_json, run
+from scrolls.cli import main, render_json, run
 from scrolls.verifier import inequality_check, sweep_records
 
 
@@ -205,16 +205,18 @@ def test_verify_failure_mid_stream_keeps_previous_output(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_streams_without_holding_the_grid(tmp_path, fmt):
-    # the whole 150 x 150 output is about 8 MB of JSON
-    argv = _grid_argv(range(1, 151), range(1, 151))
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--format", fmt, "--output", str(tmp_path / "sweep.out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 2 * 2**20
+    # the whole 150 x 150 output is about 8 MB of JSON; a copy of the k range
+    # of the 1 x 50000 grid would take about 4 MB
+    for n_range, k_range in [(range(1, 151), range(1, 151)), (range(3, 4), range(1, 50001))]:
+        tracemalloc.start()
+        try:
+            code = main(_grid_argv(n_range, k_range)
+                        + ["--format", fmt, "--output", str(tmp_path / "sweep.out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
 
 
 def test_family_reports_and_note(capsys):
@@ -280,9 +282,9 @@ def test_invariants_integer_flag_above_int_string_limit(capsys):
 
 
 def test_internal_type_error_is_not_a_usage_error():
-    # a RunConfig without the fields its command needs is a caller bug
+    # a call without the flags its command needs is a caller bug
     with pytest.raises(TypeError):
-        run(RunConfig(command="invariants"))
+        run("invariants")
 
 
 def test_exact_cli_import_leaves_numpy_unloaded():
@@ -382,6 +384,26 @@ def test_non_finite_period_is_config_error(capsys, argv):
     assert "period entries must be finite" in env["payload"]["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "2", "1", "0", "-1"])
+def test_tol_outside_unit_interval_is_config_error(capsys, tol):
+    # such a tol cannot tell a rank drop from full rank, whatever the scroll
+    code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "5", "--samples", "5", "--tol", tol])
+    assert code == 3
+    assert env["payload"]["message"].startswith("tol must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-elliptic", "--m", "5", "--torsion", "1,0,1" + "0" * 400],
+    ["probe-surface", "--d", "7", "--torsion", "0,1,0,0,1" + "0" * 400],
+    # a valid generator of order 2, with components beyond the float range
+    ["probe-surface", "--d", "7", "--torsion", "0,2" + "0" * 400 + ",0,0,4" + "0" * 400],
+])
+def test_torsion_order_beyond_float_range_is_config_error(capsys, argv):
+    code, env = run_cli_json(capsys, argv)
+    assert code == 3
+    assert env["warnings"] == ["configuration error: torsion order exceeds the floating-point range"]
+
+
 @pytest.mark.parametrize("argv", [
     ["probe-elliptic", "--m", "5", "--torsion", "1,0,99999999999999999999"],
     ["probe-surface", "--d", "7", "--torsion", "0,1,0,0,99999999999999999999"],
@@ -452,17 +474,37 @@ def test_json_round_trip_restores_exact_integers(capsys):
 
 
 def test_payload_bytes_deterministic():
-    config = RunConfig(command="probe-elliptic", m=5, tau=1j, torsion=(1, 0, 2), samples=12, seed=9)
-    first, code_first = run(config)
-    second, code_second = run(config)
+    params = dict(m=5, tau=1j, torsion=(1, 0, 2), samples=12, seed=9, tol=1e-8)
+    first, code_first = run("probe-elliptic", **params)
+    second, code_second = run("probe-elliptic", **params)
     assert code_first == code_second == 0
     assert json.dumps(first.payload) == json.dumps(second.payload)
     assert first.params == second.params
 
 
+@pytest.mark.parametrize(("argv", "params"), [
+    (["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14", "--cross-check"],
+     {"n": 2, "k": 2, "l": 7, "cn": 14, "cross_check": True, "expect_smooth": False}),
+    (["verify", "--n-min", "1", "--n-max", "2", "--k-min", "3", "--k-max", "4"],
+     {"n_min": 1, "n_max": 2, "k_min": 3, "k_max": 4}),
+    (["family", "--k-max", "3"], {"k_max": 3}),
+    (["very-ample-bound", "--n", "3", "--l", "13"], {"n": 3, "l": 13}),
+    (["probe-elliptic", "--m", "5", "--tau", "0.25,1.5", "--samples", "0"],
+     {"m": 5, "tau": [0.25, 1.5], "torsion": [1, 0, 2], "samples": 0, "seed": 42, "tol": 1e-8}),
+    # --order only fills in the default torsion, and is not echoed itself
+    (["probe-surface", "--d", "7", "--order", "2", "--samples", "0", "--seed", "5"],
+     {"d": 7, "omega": [[0.31, 1.12], [0.07, 0.21], [-0.18, 1.35]], "torsion": [0, 1, 0, 0, 2],
+      "samples": 0, "seed": 5, "tol": 1e-8}),
+])
+def test_params_echo_each_flag_in_parser_order(capsys, argv, params):
+    code, env = run_cli_json(capsys, argv)
+    assert code == 0
+    assert list(env["params"]) == list(params)
+    assert env["params"] == params
+
+
 def test_envelope_fields_and_renderers():
-    config = RunConfig(command="very-ample-bound", n=3, l=13)
-    envelope, code = run(config)
+    envelope, code = run("very-ample-bound", n=3, l=13)
     assert code == 0
     data = envelope.to_dict()
     assert set(data) == {"version", "command", "timestamp", "params", "payload", "warnings"}
