@@ -468,6 +468,49 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
     assert len(builds) == len(with_tangent)
 
 
+def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
+    # the partner points are the only ones evaluated without a tangent
+    import scrolls.theta as theta
+
+    emb, group = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
+    evaluate = theta.theta_basis_eval
+
+    def failing_partners(emb, z, tangent=None):
+        if tangent is None:
+            raise EvaluationError("partner refused")
+        return evaluate(emb, z, tangent=tangent)
+
+    monkeypatch.setattr(theta, "theta_basis_eval", failing_partners)
+    summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
+    bases = 5 + theta._GRID_SIDE ** 2
+    # one fibre verdict and one inconclusive per base; no later probe runs
+    assert (summary.probes, summary.passes, summary.fails, summary.inconclusives) == (
+        2 * bases, bases, 0, bases
+    )
+
+
+@pytest.mark.parametrize("genus, degree, period, torsion", [
+    (1, 9, 1j, (1, 0, 4)),
+    (2, 7, OMEGA, (0, 1, 0, 0, 2)),
+])
+def test_smoothness_probe_zero_derivative_rows_are_inconclusive(
+    monkeypatch, genus, degree, period, torsion
+):
+    import scrolls.theta as theta
+
+    emb, group = probe_setup(genus, degree, period, torsion)
+    monkeypatch.setattr(
+        theta, "_derivative_sums",
+        lambda emb, u, terms, tangent: np.zeros(emb.section_count, dtype=complex),
+    )
+    summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
+    bases = 5 + theta._GRID_SIDE ** 2
+    # fibre and two-fibre verdicts recorded, the immersion probe inconclusive
+    assert (summary.probes, summary.passes, summary.fails, summary.inconclusives) == (
+        3 * bases, 2 * bases, 0, bases
+    )
+
+
 def test_basis_eval_derivative_is_scaled_theta_derivative():
     rng = np.random.default_rng(13)
     curve = elliptic_embedding(7, 0.3 + 0.9j)
