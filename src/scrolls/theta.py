@@ -19,8 +19,12 @@ a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
 A torus point is a Python complex (genus 1) or a complex128 array (genus 2),
 so plain + and - serve both genera.  Lattice sums are truncated so that the
 discarded tail is below e^-40 (~4e-18) of the largest retained term, with a
-radius computed per point from the period, never set by the caller; one
-exponent matrix per point gives both the values and the derivative.
+radius computed per point from the period, never set by the caller.  Only the
+centre and radius of the summation box depend on z; the box's index offsets
+and its quadratic term depend on the period alone, so each embedding builds
+them once per integer box and keeps them.  Per point only the linear term in
+z is added before exponentiating, and that one exponent matrix gives both the
+values and the derivative.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
@@ -29,8 +33,9 @@ the section values together with their first derivatives along a fibre must
 have full rank (the immersion condition).  Each torus point is evaluated once
 per base point and shared by all three probes.  Ranks are decided by singular
 value ratios with a hard threshold and a gray zone that yields an
-"inconclusive" verdict rather than overclaiming; everything is deterministic
-for a fixed seed.
+"inconclusive" verdict rather than overclaiming, for a block of base points
+at a time: one stacked SVD per probe kind.  Everything is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ GRAY_HIGH = 1e-6     # decisive ratio in [GRAY_LOW, GRAY_HIGH]: inconclusive
 _TAIL_LOG = 40.0     # truncation keeps relative tails below exp(-_TAIL_LOG)
 _MAX_RADIUS = 10_000
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
+_MAX_BOXES = 64      # lattice boxes kept per embedding before the table is reset
+_BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
 
 TorusPoint = Union[complex, np.ndarray]
 
@@ -103,6 +110,8 @@ class ThetaEmbedding:
             object.__setattr__(self, "_eig_min", base_scale)
             object.__setattr__(self, "_chars", chars[:, None, :])
         object.__setattr__(self, "truncation_radius", _radius_for(base_scale, 0.0))
+        # z-independent arrays of the lattice sums, keyed by the integer box
+        object.__setattr__(self, "_boxes", {})
 
     @property
     def section_count(self) -> int:
@@ -173,20 +182,42 @@ def _radius_for(scale: float, offset: float) -> int:
     return max(radius, 1)
 
 
+def _box(emb: ThetaEmbedding, key: tuple, build):
+    """The arrays of the integer box `key`, `build(emb, *key)` on first use."""
+    boxes = emb._boxes
+    box = boxes.get(key)
+    if box is None:
+        if len(boxes) >= _MAX_BOXES:  # points far apart must not grow it without bound
+            boxes.clear()
+        box = boxes[key] = build(emb, *key)
+    return box
+
+
+def _genus1_box(emb: ThetaEmbedding, lo: int, hi: int):
+    """Offsets u = r + j/m over lo..hi, their quadratic term and the factor of w."""
+    u = np.arange(lo, hi + 1)[None, :] + emb._chars
+    return u, 1j * math.pi * (emb.degree * emb.period) * u * u, 2j * math.pi * u
+
+
 def _genus1_exponents(emb: ThetaEmbedding, z: complex):
     """Index offsets u = r + j/m and exponent matrix, one row per section."""
     m = emb.degree
     w = m * z
-    big_tau = m * emb.period
-    y = big_tau.imag
+    y = (m * emb.period).imag
     radius = _radius_for(y, abs(w.imag) / y)
     center = -w.imag / y
-    r = np.arange(math.ceil(center - radius), math.floor(center + radius) + 1)
-    u = r[None, :] + emb._chars
-    exponents = 1j * math.pi * big_tau * u * u + 2j * math.pi * u * w
-    if exponents.real.max() > 600.0:
-        raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
-    return u, exponents
+    key = (math.ceil(center - radius), math.floor(center + radius))
+    u, quad, linear = _box(emb, key, _genus1_box)
+    return u, quad + linear * w
+
+
+def _genus2_box(emb: ThetaEmbedding, lo0: int, lo1: int, hi0: int, hi1: int):
+    """Offsets u (d, npoints, 2), lattice vector plus characteristic per
+    section, over the box lo..hi, and the quadratic term pi*i*u^T Omega u."""
+    r1, r2 = np.meshgrid(np.arange(lo0, hi0 + 1), np.arange(lo1, hi1 + 1), indexing="ij")
+    lattice = np.stack([r1.ravel(), r2.ravel()], axis=1).astype(float)
+    u = lattice[None, :, :] + emb._chars
+    return u, 1j * math.pi * np.einsum("sni,ij,snj->sn", u, emb.period, u)
 
 
 def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
@@ -195,17 +226,8 @@ def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
     radius = _radius_for(emb._eig_min, float(np.linalg.norm(center)))
     lo = np.ceil(center - radius - 1).astype(int)
     hi = np.floor(center + radius + 1).astype(int)
-    r1, r2 = np.meshgrid(
-        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij"
-    )
-    lattice = np.stack([r1.ravel(), r2.ravel()], axis=1).astype(float)
-    # u has shape (d, npoints, 2): lattice vector plus characteristic per section
-    u = lattice[None, :, :] + emb._chars
-    quad = np.einsum("sni,ij,snj->sn", u, omega, u)
-    exponents = 1j * math.pi * quad + 2j * math.pi * (u @ z)
-    if exponents.real.max() > 600.0:
-        raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
-    return u, exponents
+    u, quad = _box(emb, (*lo.tolist(), *hi.tolist()), _genus2_box)
+    return u, quad + 2j * math.pi * (u @ z)
 
 
 def _section_terms(emb: ThetaEmbedding, z: TorusPoint):
@@ -214,6 +236,8 @@ def _section_terms(emb: ThetaEmbedding, z: TorusPoint):
         u, exponents = _genus1_exponents(emb, complex(z))
     else:
         u, exponents = _genus2_exponents(emb, np.asarray(z, dtype=complex))
+    if exponents.real.max() > 600.0:
+        raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
     return u, np.exp(exponents)
 
 
@@ -249,6 +273,11 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise EvaluationError("cannot normalize the zero vector")
+    return _scaled(vector, norm)
+
+
+def _scaled(vector: np.ndarray, norm: float) -> np.ndarray:
+    """vector / norm, or vector itself when norm is within 4 ulps of 1."""
     if abs(norm - 1.0) <= 4 * np.finfo(vector.dtype).eps:
         return vector
     return vector / norm
@@ -265,7 +294,7 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise EvaluationError(f"all sections vanish at {z!r}")
-    coords = normalize(raw)
+    coords = _scaled(raw, norm)
     derivative = None
     if tangent is not None:
         derivative = _derivative_sums(emb, u, terms, tangent) / norm
@@ -376,23 +405,36 @@ def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 
 
 # -------------------------------------------------------------------- probes
 
-def _rank(vectors, tol: float, error: type):
-    """Singular value ratios, rank and margin of row-normalized vectors: the
-    one rank decision behind span_rank and every cluster probe.  Zero rows
-    raise `error`.  A tol outside (0, 1), nan included, cannot tell a rank
-    drop from full rank, so it is refused."""
+def _rank(stack, tol: float) -> list:
+    """Singular value ratios, rank and margin of each matrix of a stack
+    (B, rows, n), its rows normalized first: the one rank decision behind
+    span_rank and every cluster probe.  A member with a zero row cannot be
+    decided and gives None; one SVD call covers all the others.  A tol
+    outside (0, 1), nan included, cannot tell a rank drop from full rank, so
+    it is refused."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    matrix = np.asarray(vectors, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
+    matrices = np.asarray(stack, dtype=complex)
+    if matrices.ndim != 3 or matrices.shape[1] == 0:
         raise ValueError("need a nonempty 2-d stack of vectors")
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
+    norms = np.linalg.norm(matrices, axis=-1)
+    usable = np.all(norms != 0.0, axis=-1)
+    decided = [None] * len(matrices)
+    if usable.any():
+        singular = np.linalg.svd(matrices[usable] / norms[usable][..., None], compute_uv=False)
+        for member, values in zip(np.flatnonzero(usable), singular):
+            ratios = values / values[0]
+            rank = int(np.count_nonzero(ratios >= tol))
+            decided[member] = (ratios, rank, float(ratios[rank - 1]) if rank else 0.0)
+    return decided
+
+
+def _rank_one(vectors, tol: float, error: type):
+    """_rank of a single matrix; a zero row raises `error`."""
+    decided = _rank([vectors], tol)[0]
+    if decided is None:
         raise error("zero vectors are not allowed in rank probes")
-    singular = np.linalg.svd(matrix / norms[:, None], compute_uv=False)
-    ratios = singular / singular[0]
-    rank = int(np.count_nonzero(ratios >= tol))
-    return ratios, rank, float(ratios[rank - 1]) if rank else 0.0
+    return decided
 
 
 def span_rank(vectors, tol: float = HARD_TOL):
@@ -401,25 +443,28 @@ def span_rank(vectors, tol: float = HARD_TOL):
     Rows are normalized to unit norm, then rank = number of singular values
     with sigma_i/sigma_1 >= tol and margin = (smallest counted)/sigma_1.
     """
-    _, rank, margin = _rank(vectors, tol, ValueError)
+    _, rank, margin = _rank_one(vectors, tol, ValueError)
     return rank, margin
 
 
-def _cluster_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe:
-    ratios, observed, margin = _rank(vectors, tol, EvaluationError)
+def _verdict(ratios, observed: int, expected_rank: int) -> str:
+    """Pass, fail or inconclusive, from the decisive ratio at expected_rank."""
     decisive = float(ratios[expected_rank - 1]) if expected_rank <= len(ratios) else 0.0
     if GRAY_LOW <= decisive <= GRAY_HIGH:
-        verdict = "inconclusive"
-    elif decisive > GRAY_HIGH and observed == expected_rank:
-        verdict = "pass"
-    else:
-        verdict = "fail"
+        return "inconclusive"
+    if decisive > GRAY_HIGH and observed == expected_rank:
+        return "pass"
+    return "fail"
+
+
+def _cluster_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe:
+    ratios, observed, margin = _rank_one(vectors, tol, EvaluationError)
     return ClusterProbe(
         points=tuple(points),
         expected_rank=expected_rank,
         observed_rank=observed,
         margin=margin,
-        verdict=verdict,
+        verdict=_verdict(ratios, observed, expected_rank),
     )
 
 
@@ -504,7 +549,8 @@ def scroll_smoothness_probe(
     runs the fibre independence probe, the two-fibre span probe (partner point
     kept away from the subgroup translates), and the derivative (immersion)
     probe.  Evaluation errors count as inconclusive; the summary is
-    deterministic for fixed inputs.
+    deterministic for fixed inputs.  Bases are evaluated one by one, and their
+    ranks are decided in blocks of _BLOCK bases, one stacked SVD per probe kind.
     """
     if samples < 0:
         raise ValueError("samples must be non-negative")
@@ -518,28 +564,33 @@ def scroll_smoothness_probe(
 
     verdicts = {"pass": 0, "fail": 0, "inconclusive": 0}
     margins = []
-
-    def record(probe: ClusterProbe) -> None:
-        verdicts[probe.verdict] += 1
-        margins.append(probe.margin)
-
-    for index, base in enumerate(randoms + grid):
-        partner = _draw_partner(emb, group, base, rng, offset) if index < samples else base + offset
-        if emb.genus == 1:
-            tangent: object = 1.0
-        else:
-            raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-            tangent = raw / np.linalg.norm(raw)
-        # one evaluation per point, the fibre's with its derivative; partners
-        # come after the fibre probe is recorded, so an error there keeps it
-        try:
-            fibre = [theta_basis_eval(emb, base + rho, tangent=tangent) for rho in group]
-            record(_cluster_probe(fibre, _rows(fibre), k, tol))
-            cluster = fibre + [theta_basis_eval(emb, partner + rho) for rho in group]
-            record(_cluster_probe(cluster, _rows(cluster), 2 * k, tol))
-            record(_cluster_probe(fibre, _rows(fibre, with_derivatives=True), 2 * k, tol))
-        except (EvaluationError, ConfigurationError):
-            verdicts["inconclusive"] += 1
+    bases = randoms + grid
+    for start in range(0, len(bases), _BLOCK):
+        block = []
+        for index in range(start, min(start + _BLOCK, len(bases))):
+            base = bases[index]
+            partner = _draw_partner(emb, group, base, rng, offset) if index < samples else base + offset
+            if emb.genus == 1:
+                tangent: object = 1.0
+            else:
+                raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+                tangent = raw / np.linalg.norm(raw)
+            try:
+                block.append(_base_rows(emb, group, base, partner, tangent))
+            except (EvaluationError, ConfigurationError):
+                verdicts["inconclusive"] += 1
+        # a base with missing rows or a zero row counts one inconclusive and
+        # gets no later probe; the probes before it stand
+        for kind, expected in enumerate((k, 2 * k, 2 * k)):
+            outcomes = _decide([rows[kind] for rows in block], tol)
+            for outcome in outcomes:
+                if outcome is None:
+                    verdicts["inconclusive"] += 1
+                else:
+                    ratios, observed, margin = outcome
+                    verdicts[_verdict(ratios, observed, expected)] += 1
+                    margins.append(margin)
+            block = [rows for rows, outcome in zip(block, outcomes) if outcome is not None]
     return ProbeSummary(
         genus=emb.genus,
         section_count=emb.section_count,
@@ -552,6 +603,30 @@ def scroll_smoothness_probe(
         inconclusives=verdicts["inconclusive"],
         min_margin=float(min(margins)) if margins else float("nan"),
     )
+
+
+def _base_rows(emb, group, base, partner, tangent) -> tuple:
+    """Rows of a base's fibre, two-fibre and immersion probes, from one
+    evaluation per point (the fibre's with derivatives along `tangent`).  The
+    last two are None when the partners fail to evaluate, and the partners
+    are not evaluated when a zero row leaves the fibre probe undecided."""
+    fibre = [theta_basis_eval(emb, base + rho, tangent=tangent) for rho in group]
+    rows = _rows(fibre)
+    if not np.all(np.linalg.norm(rows, axis=-1)):
+        return rows, None, None
+    try:
+        partners = [theta_basis_eval(emb, partner + rho) for rho in group]
+    except (EvaluationError, ConfigurationError):
+        return rows, None, None
+    return rows, rows + _rows(partners), _rows(fibre, with_derivatives=True)
+
+
+def _decide(stacks: list, tol: float) -> list:
+    """_rank of each entry of `stacks` in one call; None where the entry is
+    None or holds a zero row."""
+    present = [rows for rows in stacks if rows is not None]
+    decided = iter(_rank(present, tol) if present else ())
+    return [None if rows is None else next(decided) for rows in stacks]
 
 
 def _draw_partner(emb, group, base, rng, offset, attempts: int = 32) -> TorusPoint:

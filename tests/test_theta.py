@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scrolls.theta import (
+    HARD_TOL,
     ClusterProbe,
     ConfigurationError,
     EvaluationError,
@@ -526,6 +527,102 @@ def test_basis_eval_derivative_is_scaled_theta_derivative():
         norm = float(np.linalg.norm(theta_values(emb, z)))
         assert np.array_equal(point.derivative, theta_derivatives(emb, z, tangent) / norm)
         assert np.array_equal(point.coords, normalize(theta_values(emb, z)))
+
+
+# ------------------------------------------- box tables and stacked ranks
+
+def _cache_cases():
+    """(make embedding, point, tangent) with points that open several boxes:
+    seeded points, their lattice translates and points far from the
+    fundamental domain."""
+    rng = np.random.default_rng(17)
+    tau = 0.3 + 0.9j
+    curve_points = [complex(x + y * tau) for x, y in rng.random((3, 2))]
+    curve_points += [z + a + b * tau for z in curve_points[:2] for a, b in ((1, 0), (0, 1), (-3, 2))]
+    curve_points += [5.7 - 3.2j, -4.1 + 2.6j]
+    cases = [(lambda: elliptic_embedding(7, tau), z, 0.6 - 0.8j) for z in curve_points]
+    surface_points = [np.array([1.0, 7.0]) * rng.random(2) + OMEGA @ rng.random(2) for _ in range(3)]
+    shifts = [np.array([1.0, 0.0]), np.array([0.0, 7.0]), OMEGA[:, 0], 2 * OMEGA[:, 1] - OMEGA[:, 0]]
+    surface_points += [z + shift for z in surface_points[:2] for shift in shifts]
+    surface_points += [np.array([2.1 + 1.3j, 4.0 + 1.9j]), np.array([-3.0 - 2.2j, 1.5 - 3.1j])]
+    tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
+    cases += [(lambda: surface_embedding(7, OMEGA), z, tangent) for z in surface_points]
+    return cases
+
+
+def test_box_tables_give_the_bits_of_a_fresh_embedding():
+    cases = _cache_cases()
+    warm = {}  # one embedding per genus, reused for every point
+    for make, z, tangent in cases:
+        emb = make()
+        theta_basis_eval(warm.setdefault(emb.genus, emb), z, tangent)
+    assert all(len(emb._boxes) > 3 for emb in warm.values())
+    for make, z, tangent in cases:
+        emb = make()
+        fresh = theta_basis_eval(emb, z, tangent)
+        cached = theta_basis_eval(warm[emb.genus], z, tangent)
+        assert np.array_equal(cached.coords, fresh.coords)
+        assert np.array_equal(cached.derivative, fresh.derivative)
+
+
+def test_box_table_stays_bounded(monkeypatch):
+    import scrolls.theta as theta
+
+    monkeypatch.setattr(theta, "_MAX_BOXES", 3)
+    emb = elliptic_embedding(5, 1j)
+    first = theta_basis_eval(emb, 0.3 + 0.4j, 1.0)
+    opened = set()
+    for step in range(-16, 17):
+        theta_basis_eval(emb, 0.3 + 0.4j + step * 0.125j, 1.0)
+        opened.update(emb._boxes)
+        assert len(emb._boxes) <= 3
+    assert len(opened) > 3
+    again = theta_basis_eval(emb, 0.3 + 0.4j, 1.0)
+    assert np.array_equal(again.coords, first.coords)
+    assert np.array_equal(again.derivative, first.derivative)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("config", [PINNED_SUMMARIES[1][0], PINNED_SUMMARIES[3][0],
+                                    PINNED_SUMMARIES[4][0]])
+def test_probe_results_do_not_depend_on_call_history(config):
+    genus, degree, period, torsion, samples, seed = config
+    emb, group = probe_setup(genus, degree, period, torsion)
+    first = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
+    second = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
+    fresh = pinned_probe(config)
+    assert first == second == fresh  # min_margin to the last bit
+
+
+def test_stacked_rank_matches_one_matrix_at_a_time():
+    from scrolls.theta import _rank
+
+    rng = np.random.default_rng(23)
+    stack = rng.normal(size=(6, 4, 9)) + 1j * rng.normal(size=(6, 4, 9))
+    stack[2, 3] = 2.5 * stack[2, 0] - 1j * stack[2, 1]  # rank 3 of 4
+    stacked = _rank(stack, HARD_TOL)
+    assert [rank for _, rank, _ in stacked] == [4, 4, 3, 4, 4, 4]
+    for matrix, (ratios, rank, margin) in zip(stack, stacked):
+        alone_ratios, alone_rank, alone_margin = _rank([matrix], HARD_TOL)[0]
+        assert np.array_equal(ratios, alone_ratios)
+        assert (rank, float.hex(margin)) == (alone_rank, float.hex(alone_margin))
+        # the one-matrix arithmetic written out
+        singular = np.linalg.svd(matrix / np.linalg.norm(matrix, axis=1)[:, None], compute_uv=False)
+        assert np.array_equal(ratios, singular / singular[0])
+        assert float.hex(margin) == float.hex(float(ratios[rank - 1]))
+    # a zero row leaves its own member undecided and no other
+    stack[4, 1] = 0.0
+    with_zero = _rank(stack, HARD_TOL)
+    assert with_zero[4] is None
+    for index in (0, 1, 2, 3, 5):
+        assert np.array_equal(with_zero[index][0], stacked[index][0])
+
+
+def test_span_rank_refuses_a_stack():
+    with pytest.raises(ValueError, match="need a nonempty 2-d stack of vectors"):
+        span_rank(np.ones((2, 3, 5)))
+    with pytest.raises(ValueError, match="need a nonempty 2-d stack of vectors"):
+        span_rank(np.ones(5))
 
 
 # ----------------------------------------------------- mpmath theta oracle
