@@ -106,16 +106,16 @@ def _run_invariants(n, k, l, cn, cross_check=False, expect_smooth=False):
 
 
 def _run_verify(n_min, n_max, k_min, k_max):
-    # `records` is a one-pass iterator of InequalityRecord; the fields after
-    # it, the warning and main()'s exit code are final once it is consumed
+    # `records` is a one-pass iterator of InequalityRecord; the writers derive
+    # the equality set from it (JSON lists the pairs, text counts them), and
+    # the classification flag, the warning and main()'s exit code are final
+    # once it is consumed
     rows = sweep_records(range(n_min, n_max + 1), range(k_min, k_max + 1))
-    payload = {"kind": "sweep", "records": None, "equality_set": [], "classification_holds": True}
+    payload = {"kind": "sweep", "records": None, "equality_set": None, "classification_holds": True}
     warnings = []
 
     def records():
         for rec in rows:
-            if rec.relation == "eq":
-                payload["equality_set"].append([rec.n, rec.k])
             if rec.relation != ("eq" if rec.n <= 2 else "gt"):
                 payload["classification_holds"] = False
             yield rec
@@ -271,18 +271,22 @@ def write_json(envelope: ReportEnvelope, out) -> None:
         out.write(json.dumps(envelope.to_dict(), indent=2, default=_complex_json) + "\n")
         return
 
-    def around_records() -> tuple:
+    def around_records(equality_set=None) -> tuple:
         # "\0" (JSON "\u0000") marks the records; no other field can hold it
-        data = dict(envelope.to_dict(), payload=dict(payload, records="\0"))
+        data = dict(envelope.to_dict(),
+                    payload=dict(payload, records="\0", equality_set=equality_set))
         return json.dumps(data, indent=2, default=_complex_json).partition('"\\u0000"')
 
     out.write(around_records()[0] + "[")
     separator = "\n"
+    equality_set = []
     for r in payload["records"]:
         out.write(separator + _RECORD_JSON % (r.n, r.k, r.lhs, r.rhs, r.relation))
         separator = ",\n"
+        if r.relation == "eq":
+            equality_set.append([r.n, r.k])
     # the fields after the records are final only now
-    out.write("\n    ]" + around_records()[2] + "\n")
+    out.write("\n    ]" + around_records(equality_set)[2] + "\n")
 
 
 # CSV columns of the one-table kinds; a scroll report has a row per report,
@@ -323,9 +327,11 @@ def write_text(envelope: ReportEnvelope, out) -> None:
                 f"deg_Y={rec['deg_Y']} double_point={rec['double_point']} -> {rec['verdict']}"
             )
     elif kind == "sweep":
-        checked = sum(1 for _ in payload["records"])
-        eq = payload["equality_set"]
-        lines.append(f"  {checked} pairs checked; equality at {len(eq)} of them")
+        checked = equal = 0
+        for r in payload["records"]:
+            checked += 1
+            equal += r.relation == "eq"
+        lines.append(f"  {checked} pairs checked; equality at {equal} of them")
         lines.append(f"  classification holds: {payload['classification_holds']}")
     elif kind == "probe":
         lines.append(

@@ -16,23 +16,31 @@ a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
 
     s_j(z) = theta[(0, j/d), 0](z, Omega),   j = 0..d-1.
 
-A torus point is a Python complex (genus 1) or a complex128 array (genus 2),
-so plain + and - serve both genera.  Lattice sums are truncated so that the
-discarded tail is below e^-40 (~4e-18) of the largest retained term, with a
-radius computed per point from the period, never set by the caller.  Only the
-centre and radius of the summation box depend on z; the box's index offsets
-and its quadratic term depend on the period alone, so each embedding builds
-them once per integer box and keeps them.  Per point only the linear term in
-z is added before exponentiating, and that one exponent matrix gives both the
-values and the derivative.
+Both are one lattice sum in genus g: s_j(z) = theta[c_j, 0](w, Omega) with
+w = s*z, c_j = (0, ..., 0, j/d) and D = diag(1, ..., 1, d).  Genus 1 is g = 1
+with s = m, Omega = m*tau and D = (m); genus 2 has s = 1.  A torus point is a
+Python complex (genus 1) or a complex128 array (genus 2), so plain + and -
+serve both genera.
+
+The sum at w runs over the (2R + 2)^g lattice vectors from k - R - 1 to
+k + R, where k = ceil(-y) and y = (Im Omega)^-1 Im w, so every dropped term
+lies more than R from the peak at -y in some coordinate (Deconinck, Heil,
+Bobenko, van Hoeij, Schmies, Math. Comp. 73, 2004).  The radius R comes from
+Im Omega alone, so that each dropped term is below e^-40 (~4e-18) of the peak
+term; it is the same at every point and never set by the caller.  The box's
+offsets from k and their quadratic term are therefore built once per
+embedding, and a point adds only a term linear in the offsets and a constant
+before exponentiating.  One call sums any number of points, and that one
+exponent array gives both the values and the derivatives.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
 fibres over points not differing by the subgroup must span independently, and
 the section values together with their first derivatives along a fibre must
 have full rank (the immersion condition).  Each torus point is evaluated once
-per base point and shared by all three probes.  Ranks are decided by singular
-value ratios with a hard threshold and a gray zone that yields an
+per base point and shared by all three probes: a fibre's points, with the
+tangent, in one lattice sum and its partner's in another.  Ranks are decided
+by singular value ratios with a hard threshold and a gray zone that yields an
 "inconclusive" verdict rather than overclaiming, for a block of base points
 at a time: one stacked SVD per probe kind.  Everything is deterministic for a
 fixed seed.
@@ -52,8 +60,8 @@ GRAY_HIGH = 1e-6     # decisive ratio in [GRAY_LOW, GRAY_HIGH]: inconclusive
 _TAIL_LOG = 40.0     # truncation keeps relative tails below exp(-_TAIL_LOG)
 _MAX_RADIUS = 10_000
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
-_MAX_BOXES = 64      # lattice boxes kept per embedding before the table is reset
 _BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
+_NEAR_ONE = 4 * np.finfo(float).eps  # a norm this close to 1 is taken as exactly 1
 
 TorusPoint = Union[complex, np.ndarray]
 
@@ -74,8 +82,8 @@ class ThetaEmbedding:
     matrix with positive definite imaginary part for genus 2.  degree is the
     embedding degree m (genus 1) or the d of a type (1, d) polarization
     (genus 2); the section count equals it in both cases.  truncation_radius
-    is computed, not set: the lattice-sum cutoff at the origin, which
-    evaluation widens per point.
+    is computed, not set: the lattice-sum cutoff R, from Im(period) alone and
+    the same at every point.
     """
 
     genus: int
@@ -93,25 +101,37 @@ class ThetaEmbedding:
         if not np.all(np.isfinite(period)):
             raise ConfigurationError("period entries must be finite")
         object.__setattr__(self, "period", period)
-        # per-embedding constants of the lattice sums, computed once here
         if self.genus == 1:
             if not period.imag > 0:
                 raise ConfigurationError(f"Im(tau) must be positive, got {period}")
-            base_scale = self.degree * period.imag
-            object.__setattr__(self, "_chars", (np.arange(self.degree) / self.degree)[:, None])
+            scale = self.degree
+        elif period.shape != (2, 2) or not np.allclose(period, period.T, atol=1e-14):
+            raise ConfigurationError("genus-2 period must be a symmetric 2x2 matrix")
         else:
-            if period.shape != (2, 2) or not np.allclose(period, period.T, atol=1e-14):
-                raise ConfigurationError("genus-2 period must be a symmetric 2x2 matrix")
-            base_scale = float(np.linalg.eigvalsh(period.imag)[0])
-            if base_scale <= 0:
-                raise ConfigurationError("Im(period) must be positive definite")
-            chars = np.zeros((self.degree, 2))
-            chars[:, 1] = np.arange(self.degree) / self.degree
-            object.__setattr__(self, "_eig_min", base_scale)
-            object.__setattr__(self, "_chars", chars[:, None, :])
-        object.__setattr__(self, "truncation_radius", _radius_for(base_scale, 0.0))
-        # z-independent arrays of the lattice sums, keyed by the integer box
-        object.__setattr__(self, "_boxes", {})
+            scale = 1
+        # per-embedding constants of the lattice sum, computed once here
+        g = self.genus
+        matrix = np.reshape(period, (g, g))
+        omega = scale * matrix
+        eig_min = float(np.linalg.eigvalsh(omega.imag)[0])
+        if eig_min <= 0:
+            raise ConfigurationError("Im(period) must be positive definite")
+        radius = _radius_for(eig_min)
+        side = np.arange(-radius - 1.0, radius + 1.0)
+        box = np.stack(np.meshgrid(*[side] * g, indexing="ij")).reshape(g, 1, -1)
+        chars = np.zeros((g, self.degree, 1))
+        chars[-1, :, 0] = np.arange(self.degree) / self.degree
+        offsets = box + chars  # (g, sections, box): lattice vector plus characteristic
+        for name, value in (
+            ("truncation_radius", radius),
+            ("_scale", scale),                              # w = s*z
+            ("_period", matrix),                            # z = (D/s)*x + P*y
+            ("_steps", np.append(np.ones(g - 1), self.degree) / scale),  # D/s
+            ("_inv_imag", np.linalg.inv(matrix.imag)),      # y = (Im P)^-1 Im z
+            ("_offsets", offsets.reshape(g, -1)),
+            ("_quad", 1j * math.pi * np.einsum("isn,ij,jsn->sn", offsets, omega, offsets)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def section_count(self) -> int:
@@ -170,11 +190,9 @@ class ProbeSummary:
 
 # ---------------------------------------------------------------- lattice sums
 
-def _radius_for(scale: float, offset: float) -> int:
-    """Smallest integer R with pi*scale*(R - offset)^2 >= _TAIL_LOG and R > offset."""
-    if scale <= 0:
-        raise ConfigurationError("period imaginary part must be positive")
-    radius = math.ceil(offset + math.sqrt(_TAIL_LOG / (math.pi * scale)))
+def _radius_for(scale: float) -> int:
+    """Smallest integer R >= 1 with pi*scale*R^2 >= _TAIL_LOG."""
+    radius = math.ceil(math.sqrt(_TAIL_LOG / (math.pi * scale)))
     if radius > _MAX_RADIUS:
         raise ConfigurationError(
             f"truncation radius {radius} exceeds {_MAX_RADIUS}; Im(period) too small"
@@ -182,77 +200,55 @@ def _radius_for(scale: float, offset: float) -> int:
     return max(radius, 1)
 
 
-def _box(emb: ThetaEmbedding, key: tuple, build):
-    """The arrays of the integer box `key`, `build(emb, *key)` on first use."""
-    boxes = emb._boxes
-    box = boxes.get(key)
-    if box is None:
-        if len(boxes) >= _MAX_BOXES:  # points far apart must not grow it without bound
-            boxes.clear()
-        box = boxes[key] = build(emb, *key)
-    return box
+def _section_terms(emb: ThetaEmbedding, points):
+    """Box centres k, shape (P, g), and terms, shape (P, sections, box), of
+    the lattice sums at P torus points.
 
-
-def _genus1_box(emb: ThetaEmbedding, lo: int, hi: int):
-    """Offsets u = r + j/m over lo..hi, their quadratic term and the factor of w."""
-    u = np.arange(lo, hi + 1)[None, :] + emb._chars
-    return u, 1j * math.pi * (emb.degree * emb.period) * u * u, 2j * math.pi * u
-
-
-def _genus1_exponents(emb: ThetaEmbedding, z: complex):
-    """Index offsets u = r + j/m and exponent matrix, one row per section."""
-    m = emb.degree
-    w = m * z
-    y = (m * emb.period).imag
-    radius = _radius_for(y, abs(w.imag) / y)
-    center = -w.imag / y
-    key = (math.ceil(center - radius), math.floor(center + radius))
-    u, quad, linear = _box(emb, key, _genus1_box)
-    return u, quad + linear * w
-
-
-def _genus2_box(emb: ThetaEmbedding, lo0: int, lo1: int, hi0: int, hi1: int):
-    """Offsets u (d, npoints, 2), lattice vector plus characteristic per
-    section, over the box lo..hi, and the quadratic term pi*i*u^T Omega u."""
-    r1, r2 = np.meshgrid(np.arange(lo0, hi0 + 1), np.arange(lo1, hi1 + 1), indexing="ij")
-    lattice = np.stack([r1.ravel(), r2.ravel()], axis=1).astype(float)
-    u = lattice[None, :, :] + emb._chars
-    return u, 1j * math.pi * np.einsum("sni,ij,snj->sn", u, emb.period, u)
-
-
-def _genus2_exponents(emb: ThetaEmbedding, z: np.ndarray):
-    omega = emb.period
-    center = -np.linalg.solve(omega.imag, z.imag)
-    radius = _radius_for(emb._eig_min, float(np.linalg.norm(center)))
-    lo = np.ceil(center - radius - 1).astype(int)
-    hi = np.floor(center + radius + 1).astype(int)
-    u, quad = _box(emb, (*lo.tolist(), *hi.tolist()), _genus2_box)
-    return u, quad + 2j * math.pi * (u @ z)
-
-
-def _section_terms(emb: ThetaEmbedding, z: TorusPoint):
-    """Index offsets u and the term matrix exp(exponents): one build per point."""
-    if emb.genus == 1:
-        u, exponents = _genus1_exponents(emb, complex(z))
-    else:
-        u, exponents = _genus2_exponents(emb, np.asarray(z, dtype=complex))
+    The term exp(pi*i*u^T Omega u + 2*pi*i*u^T w) at u = k + v, v an offset
+    of the box, has the exponent pi*i*v^T Omega v (the table _quad) plus
+    2*pi*i*v.(Omega*k + w) plus pi*i*k.(Omega*k + 2*w), which is the same for
+    every term of the point; Omega*k + w = s*(P*k + z).
+    """
+    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    centres = np.ceil(-z.imag @ emb._inv_imag)
+    shift = emb._scale * (centres @ emb._period + z)
+    common = 1j * math.pi * (centres * (shift + emb._scale * z)).sum(axis=1)
+    linear = (2j * math.pi * (shift @ emb._offsets)).reshape(-1, *emb._quad.shape)
+    exponents = emb._quad + linear + common[:, None, None]
     if exponents.real.max() > 600.0:
         raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
-    return u, np.exp(exponents)
+    return centres, np.exp(exponents)
 
 
-def _derivative_sums(emb: ThetaEmbedding, u, terms, tangent) -> np.ndarray:
-    if emb.genus == 1:
-        direction = 1.0 if tangent is None else complex(tangent)
-        return (2j * math.pi * emb.degree * direction * u * terms).sum(axis=1)
+def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray:
+    """d/dz of every section along `tangent`, (P, sections): the factor of each
+    term is 2*pi*i*s*(u . tangent)."""
     if tangent is None:
-        raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
-    return ((u @ np.asarray(tangent, dtype=complex)) * 2j * math.pi * terms).sum(axis=1)
+        if emb.genus != 1:
+            raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
+        tangent = 1.0
+    direction = np.reshape(np.asarray(tangent, dtype=complex), emb.genus)
+    slopes = (direction @ emb._offsets).reshape(emb._quad.shape) + (centres @ direction)[:, None, None]
+    return 2j * math.pi * emb._scale * (slopes * terms).sum(axis=2)
+
+
+def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> tuple:
+    """Unit coordinate rows of `points` and, with a tangent, their derivative
+    rows divided by the same norms (else None): one lattice sum for all."""
+    centres, terms = _section_terms(emb, points)
+    raw = terms.sum(axis=2)
+    norms = np.array([np.linalg.norm(row) for row in raw])  # the norm normalize takes
+    if not norms.all():
+        raise EvaluationError(f"all sections vanish at {points[np.flatnonzero(norms == 0)[0]]!r}")
+    coords = raw / np.where(np.abs(norms - 1.0) <= _NEAR_ONE, 1.0, norms)[:, None]
+    if tangent is None:
+        return coords, None
+    return coords, _derivative_sums(emb, centres, terms, tangent) / norms[:, None]
 
 
 def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
     """Raw (unnormalized) values of all sections at z."""
-    return _section_terms(emb, z)[1].sum(axis=1)
+    return _section_terms(emb, z)[1].sum(axis=2)[0]
 
 
 def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.ndarray:
@@ -261,7 +257,7 @@ def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.nd
     For genus 1 the direction defaults to 1 (d/dz); for genus 2 it must be a
     complex 2-vector.
     """
-    return _derivative_sums(emb, *_section_terms(emb, z), tangent)
+    return _derivative_sums(emb, *_section_terms(emb, z), tangent)[0]
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:
@@ -273,14 +269,7 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise EvaluationError("cannot normalize the zero vector")
-    return _scaled(vector, norm)
-
-
-def _scaled(vector: np.ndarray, norm: float) -> np.ndarray:
-    """vector / norm, or vector itself when norm is within 4 ulps of 1."""
-    if abs(norm - 1.0) <= 4 * np.finfo(vector.dtype).eps:
-        return vector
-    return vector / norm
+    return vector if abs(norm - 1.0) <= _NEAR_ONE else vector / norm
 
 
 def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> EmbeddedPoint:
@@ -289,16 +278,9 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     The derivative row is divided by the same norm as the coordinates, so the
     pair stays a consistent affine chart of the embedded curve/surface.
     """
-    u, terms = _section_terms(emb, z)
-    raw = terms.sum(axis=1)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise EvaluationError(f"all sections vanish at {z!r}")
-    coords = _scaled(raw, norm)
-    derivative = None
-    if tangent is not None:
-        derivative = _derivative_sums(emb, u, terms, tangent) / norm
-    return EmbeddedPoint(base=z, coords=coords, derivative=derivative)
+    coords, derivatives = _embed(emb, [z], tangent)
+    derivative = None if derivatives is None else derivatives[0]
+    return EmbeddedPoint(base=z, coords=coords[0], derivative=derivative)
 
 
 def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -322,34 +304,34 @@ def projective_residual(u: np.ndarray, v: np.ndarray) -> float:
 
 # ------------------------------------------------------------- torus geometry
 
-def _lattice_coords(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
-    """Real coordinates of z in the lattice basis (length 2 or 4)."""
-    omega = emb.period
-    if emb.genus == 1:
-        y = z.imag / omega.imag
-        return np.array([z.real - y * omega.real, y])
-    y = np.linalg.solve(omega.imag, np.imag(z))
-    x = (np.real(z) - omega.real @ y) / np.array([1.0, float(emb.degree)])
-    return np.concatenate([x, y])
+def _lattice_coords(emb: ThetaEmbedding, points) -> np.ndarray:
+    """Real coordinates (x, y) of each point, z = (D/s)*x + P*y: one row of
+    length 2*genus per point."""
+    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    y = z.imag @ emb._inv_imag
+    return np.concatenate([(z.real - y @ emb._period.real) / emb._steps, y], axis=1)
 
 
 def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray) -> TorusPoint:
     """The torus point with lattice coordinates `coords` (length 2*genus)."""
-    if emb.genus == 1:
-        return complex(coords[0] + coords[1] * emb.period)
-    x, y = coords[:2], coords[2:]
-    return np.array([1.0, float(emb.degree)]) * x + emb.period @ y
+    g = emb.genus
+    z = emb._steps * coords[:g] + emb._period @ coords[g:]
+    return complex(z[0]) if g == 1 else z
+
+
+def _distances(emb: ThetaEmbedding, points) -> np.ndarray:
+    """Max-norm distance from each point to the period lattice, in lattice coordinates."""
+    coords = _lattice_coords(emb, points)
+    return np.max(np.abs(coords - np.round(coords)), axis=1)
 
 
 def lattice_distance(emb: ThetaEmbedding, z: TorusPoint) -> float:
     """Max-norm distance from z to the period lattice, in lattice coordinates."""
-    coords = _lattice_coords(emb, z)
-    return float(np.max(np.abs(coords - np.round(coords))))
+    return float(_distances(emb, z)[0])
 
 
 def reduce_mod_lattice(emb: ThetaEmbedding, z: TorusPoint) -> TorusPoint:
-    coords = np.mod(_lattice_coords(emb, z), 1.0)
-    return _point_from_coords(emb, coords)
+    return _point_from_coords(emb, np.mod(_lattice_coords(emb, z)[0], 1.0))
 
 
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
@@ -398,9 +380,9 @@ def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list
 
 def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 1e-12) -> None:
     for p in group:
-        for q in group:
-            if min(lattice_distance(emb, p + q - r) for r in group) > tol:
-                raise ValueError("point set is not closed under addition modulo the lattice")
+        sums = _distances(emb, [p + q - r for q in group for r in group])
+        if sums.reshape(len(group), -1).min(axis=1).max() > tol:
+            raise ValueError("point set is not closed under addition modulo the lattice")
 
 
 # -------------------------------------------------------------------- probes
@@ -507,7 +489,7 @@ def very_ampleness_cluster_probe(
     if not with_derivatives:
         tangent = None
     elif tangent is None:
-        tangent = 1.0 if emb.genus == 1 else np.array([1.0, 0.0], dtype=complex)
+        tangent = np.eye(emb.genus)[0]  # along the first coordinate
     embedded = [theta_basis_eval(emb, p, tangent=tangent) for p in points]
     return _cluster_probe(embedded, _rows(embedded, with_derivatives), length, tol)
 
@@ -518,7 +500,7 @@ def _pair_offset(emb: ThetaEmbedding, group: Sequence[TorusPoint]) -> TorusPoint
     for t in range(64):
         coords = [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus
         offset = _point_from_coords(emb, np.array(coords))
-        if min(lattice_distance(emb, offset - r) for r in group) > 1e-2:
+        if _distances(emb, [offset - r for r in group]).min() > 1e-2:
             return offset
     raise ConfigurationError("could not find a pairing offset away from the subgroup")
 
@@ -606,19 +588,19 @@ def scroll_smoothness_probe(
 
 
 def _base_rows(emb, group, base, partner, tangent) -> tuple:
-    """Rows of a base's fibre, two-fibre and immersion probes, from one
-    evaluation per point (the fibre's with derivatives along `tangent`).  The
-    last two are None when the partners fail to evaluate, and the partners
-    are not evaluated when a zero row leaves the fibre probe undecided."""
-    fibre = [theta_basis_eval(emb, base + rho, tangent=tangent) for rho in group]
-    rows = _rows(fibre)
-    if not np.all(np.linalg.norm(rows, axis=-1)):
-        return rows, None, None
+    """Rows of a base's fibre, two-fibre and immersion probes: the fibre's
+    points, with derivatives along `tangent`, in one lattice sum and the
+    partner's points in another.  The last two are None when the partners
+    fail to evaluate, and the partners are not evaluated when a zero row (an
+    overflowed norm) leaves the fibre probe undecided."""
+    fibre, derivatives = _embed(emb, [base + rho for rho in group], tangent)
+    if not np.all(np.linalg.norm(fibre, axis=-1)):
+        return fibre, None, None
     try:
-        partners = [theta_basis_eval(emb, partner + rho) for rho in group]
+        partners, _ = _embed(emb, [partner + rho for rho in group])
     except (EvaluationError, ConfigurationError):
-        return rows, None, None
-    return rows, rows + _rows(partners), _rows(fibre, with_derivatives=True)
+        return fibre, None, None
+    return fibre, np.concatenate([fibre, partners]), np.concatenate([fibre, derivatives])
 
 
 def _decide(stacks: list, tol: float) -> list:
@@ -632,6 +614,6 @@ def _decide(stacks: list, tol: float) -> list:
 def _draw_partner(emb, group, base, rng, offset, attempts: int = 32) -> TorusPoint:
     for _ in range(attempts):
         candidate = _random_point(emb, rng)
-        if min(lattice_distance(emb, candidate - base - r) for r in group) > 1e-3:
+        if _distances(emb, [candidate - base - r for r in group]).min() > 1e-3:
             return candidate
     return base + offset

@@ -219,6 +219,20 @@ def test_verify_streams_without_holding_the_grid(tmp_path, fmt):
         assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_verify_text_and_csv_do_not_hold_the_equality_pairs(tmp_path, fmt):
+    # every pair of n = 1 is an equality case; held, they take about 130 bytes each
+    tracemalloc.start()
+    try:
+        code = main(_grid_argv(range(1, 2), range(1, 200001))
+                    + ["--format", fmt, "--output", str(tmp_path / "sweep.out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
 def test_family_reports_and_note(capsys):
     code, env = run_cli_json(capsys, ["family", "--k-max", "5"])
     assert code == 0

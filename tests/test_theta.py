@@ -447,26 +447,26 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
 
     emb, group = probe_setup(genus, degree, period, torsion)
     k, samples = len(group), 5
-    with_tangent, builds = [], []
-    evaluate = theta.theta_basis_eval
-    exponents = {1: theta._genus1_exponents, 2: theta._genus2_exponents}[genus]
+    calls, summed = [], []
+    embed, section_terms = theta._embed, theta._section_terms
 
-    def counted_eval(emb, z, tangent=None):
-        with_tangent.append(tangent is not None)
-        return evaluate(emb, z, tangent=tangent)
+    def counted_embed(emb, points, tangent=None):
+        calls.append((len(points), tangent is not None))
+        return embed(emb, points, tangent)
 
-    def counted_exponents(emb, z):
-        builds.append(z)
-        return exponents(emb, z)
+    def counted_terms(emb, points):
+        summed.append(len(points))
+        return section_terms(emb, points)
 
-    monkeypatch.setattr(theta, "theta_basis_eval", counted_eval)
-    monkeypatch.setattr(theta, f"_genus{genus}_exponents", counted_exponents)
+    monkeypatch.setattr(theta, "_embed", counted_embed)
+    monkeypatch.setattr(theta, "_section_terms", counted_terms)
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=1)
     bases = samples + theta._GRID_SIDE ** 2
     assert summary.probes == summary.passes == 3 * bases
-    # per base point: the k fibre points with the tangent, then the k partners
-    assert with_tangent == ([True] * k + [False] * k) * bases
-    assert len(builds) == len(with_tangent)
+    # per base point: the k fibre points with the tangent, then the k
+    # partners, each set in one lattice sum and no point in a second one
+    assert calls == [(k, True), (k, False)] * bases
+    assert summed == [k] * (2 * bases)
 
 
 def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
@@ -474,14 +474,14 @@ def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
     import scrolls.theta as theta
 
     emb, group = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
-    evaluate = theta.theta_basis_eval
+    embed = theta._embed
 
-    def failing_partners(emb, z, tangent=None):
+    def failing_partners(emb, points, tangent=None):
         if tangent is None:
             raise EvaluationError("partner refused")
-        return evaluate(emb, z, tangent=tangent)
+        return embed(emb, points, tangent)
 
-    monkeypatch.setattr(theta, "theta_basis_eval", failing_partners)
+    monkeypatch.setattr(theta, "_embed", failing_partners)
     summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
     bases = 5 + theta._GRID_SIDE ** 2
     # one fibre verdict and one inconclusive per base; no later probe runs
@@ -529,10 +529,10 @@ def test_basis_eval_derivative_is_scaled_theta_derivative():
         assert np.array_equal(point.coords, normalize(theta_values(emb, z)))
 
 
-# ------------------------------------------- box tables and stacked ranks
+# ------------------------------------ one lattice sum, box and stacked ranks
 
 def _cache_cases():
-    """(make embedding, point, tangent) with points that open several boxes:
+    """(make embedding, point, tangent) with points whose boxes differ:
     seeded points, their lattice translates and points far from the
     fundamental domain."""
     rng = np.random.default_rng(17)
@@ -550,36 +550,49 @@ def _cache_cases():
     return cases
 
 
-def test_box_tables_give_the_bits_of_a_fresh_embedding():
-    cases = _cache_cases()
-    warm = {}  # one embedding per genus, reused for every point
-    for make, z, tangent in cases:
+def test_point_in_a_fibre_matches_its_own_evaluation():
+    from scrolls.theta import _embed
+
+    fibres = {}  # genus -> (embedding, tangent, points): one batch per genus
+    for make, z, tangent in _cache_cases():
         emb = make()
-        theta_basis_eval(warm.setdefault(emb.genus, emb), z, tangent)
-    assert all(len(emb._boxes) > 3 for emb in warm.values())
-    for make, z, tangent in cases:
-        emb = make()
-        fresh = theta_basis_eval(emb, z, tangent)
-        cached = theta_basis_eval(warm[emb.genus], z, tangent)
-        assert np.array_equal(cached.coords, fresh.coords)
-        assert np.array_equal(cached.derivative, fresh.derivative)
+        fibres.setdefault(emb.genus, (emb, tangent, []))[2].append(z)
+    for emb, tangent, points in fibres.values():
+        coords, derivatives = _embed(emb, points, tangent)
+        for z, row, derivative in zip(points, coords, derivatives):
+            alone = theta_basis_eval(emb, z, tangent)
+            assert projective_residual(row, alone.coords) < 1e-14
+            assert np.linalg.norm(derivative - alone.derivative) < 1e-14 * np.linalg.norm(
+                alone.derivative
+            )
 
 
-def test_box_table_stays_bounded(monkeypatch):
-    import scrolls.theta as theta
+def test_genus2_box_is_fixed_by_the_period():
+    from scrolls.theta import _section_terms
 
-    monkeypatch.setattr(theta, "_MAX_BOXES", 3)
-    emb = elliptic_embedding(5, 1j)
-    first = theta_basis_eval(emb, 0.3 + 0.4j, 1.0)
-    opened = set()
-    for step in range(-16, 17):
-        theta_basis_eval(emb, 0.3 + 0.4j + step * 0.125j, 1.0)
-        opened.update(emb._boxes)
-        assert len(emb._boxes) <= 3
-    assert len(opened) > 3
-    again = theta_basis_eval(emb, 0.3 + 0.4j, 1.0)
-    assert np.array_equal(again.coords, first.coords)
-    assert np.array_equal(again.derivative, first.derivative)
+    emb = surface_embedding(7, OMEGA)
+    side = 2 * emb.truncation_radius + 2
+    far = np.array([0.0, 8j])
+    for z in (np.zeros(2, dtype=complex), far):
+        assert _section_terms(emb, z)[1].shape == (1, 7, side ** 2)
+    tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
+    values, derivatives = mp_theta_genus2(7, OMEGA, far, tangent)
+    assert relative_error(theta_values(emb, far), values) < 1e-12
+    assert relative_error(theta_derivatives(emb, far, tangent), derivatives) < 1e-12
+
+
+def test_genus2_far_point_is_refused_in_little_memory():
+    import tracemalloc
+
+    emb = surface_embedding(7, OMEGA)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="overflow"):
+            theta_values(emb, np.array([0.0, 3000j]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
