@@ -106,23 +106,30 @@ def _run_invariants(n, k, l, cn, cross_check=False, expect_smooth=False):
 
 
 def _run_verify(n_min, n_max, k_min, k_max):
-    # `records` is a one-pass iterator of InequalityRecord; the writers derive
-    # the equality set from it (JSON lists the pairs, text counts them), and
-    # the classification flag, the warning and main()'s exit code are final
-    # once it is consumed
+    # `records` is a one-pass iterator of InequalityRecord; the classification
+    # flag, the warning, the equality set (JSON lists its pairs, text counts
+    # them) and main()'s exit code are final once it is consumed
     rows = sweep_records(range(n_min, n_max + 1), range(k_min, k_max + 1))
     payload = {"kind": "sweep", "records": None, "equality_set": None, "classification_holds": True}
     warnings = []
+    exceptions = set()  # pairs where "eq iff n <= 2" fails: they leave or join the n <= 2 pairs
 
     def records():
         for rec in rows:
             if rec.relation != ("eq" if rec.n <= 2 else "gt"):
                 payload["classification_holds"] = False
+                if (rec.relation == "eq") != (rec.n <= 2):
+                    exceptions.add((rec.n, rec.k))
             yield rec
         if not payload["classification_holds"]:
             warnings.append("equality classification violated on this grid")
 
-    payload["records"] = records()
+    def equality_set():
+        for n in range(n_min, min(n_max, 2) + 1):
+            yield from ((n, k) for k in range(k_min, k_max + 1) if (n, k) not in exceptions)
+        yield from sorted(pair for pair in exceptions if pair[0] > 2)
+
+    payload["records"], payload["equality_set"] = records(), equality_set()
     return payload, warnings, EXIT_OK
 
 
@@ -256,6 +263,7 @@ def run(command: str, **params) -> tuple[ReportEnvelope, int]:
 
 _RECORD_JSON = ('      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d",\n'
                 '        "rhs": "%d",\n        "relation": "%s"\n      }')
+_PAIR_JSON = "      [\n        %d,\n        %d\n      ]"
 
 
 def _complex_json(value) -> list:
@@ -271,22 +279,26 @@ def write_json(envelope: ReportEnvelope, out) -> None:
         out.write(json.dumps(envelope.to_dict(), indent=2, default=_complex_json) + "\n")
         return
 
-    def around_records(equality_set=None) -> tuple:
-        # "\0" (JSON "\u0000") marks the records; no other field can hold it
-        data = dict(envelope.to_dict(),
-                    payload=dict(payload, records="\0", equality_set=equality_set))
-        return json.dumps(data, indent=2, default=_complex_json).partition('"\\u0000"')
+    def around_lists() -> list:
+        # "\0" (JSON "\u0000") marks the two lists; no other field can hold it
+        data = dict(envelope.to_dict(), payload=dict(payload, records="\0", equality_set="\0"))
+        return json.dumps(data, indent=2, default=_complex_json).split('"\\u0000"')
 
-    out.write(around_records()[0] + "[")
-    separator = "\n"
-    equality_set = []
-    for r in payload["records"]:
-        out.write(separator + _RECORD_JSON % (r.n, r.k, r.lhs, r.rhs, r.relation))
-        separator = ",\n"
-        if r.relation == "eq":
-            equality_set.append([r.n, r.k])
-    # the fields after the records are final only now
-    out.write("\n    ]" + around_records(equality_set)[2] + "\n")
+    def write_list(template, rows) -> None:
+        out.write("[")
+        separator = "\n"
+        for row in rows:
+            out.write(separator + template % row)
+            separator = ",\n"
+        out.write("]" if separator == "\n" else "\n    ]")
+
+    out.write(around_lists()[0])
+    write_list(_RECORD_JSON, ((r.n, r.k, r.lhs, r.rhs, r.relation) for r in payload["records"]))
+    # the fields after the records, and the equality set, are final only now
+    _, between, after = around_lists()
+    out.write(between)
+    write_list(_PAIR_JSON, payload["equality_set"])
+    out.write(after + "\n")
 
 
 # CSV columns of the one-table kinds; a scroll report has a row per report,

@@ -38,12 +38,14 @@ out by the spans of torsion translates: fibre points must be independent, two
 fibres over points not differing by the subgroup must span independently, and
 the section values together with their first derivatives along a fibre must
 have full rank (the immersion condition).  Each torus point is evaluated once
-per base point and shared by all three probes: a fibre's points, with the
-tangent, in one lattice sum and its partner's in another.  Ranks are decided
-by singular value ratios with a hard threshold and a gray zone that yields an
-"inconclusive" verdict rather than overclaiming, for a block of base points
-at a time: one stacked SVD per probe kind.  Everything is deterministic for a
-fixed seed.
+and shared by all three probes.  For a block of base points, all fibre points
+(with their bases' tangents) go through one pass of lattice sums of at most
+_TERMS terms each, their partners through another, and each probe kind's
+ranks are decided by one stacked SVD; a point whose sum would overflow or
+vanishes gets zero rows, which leave only its own base undecided.  Ranks are
+decided by singular value ratios with a hard threshold and a gray zone that
+yields an "inconclusive" verdict rather than overclaiming.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ _TAIL_LOG = 40.0     # truncation keeps relative tails below exp(-_TAIL_LOG)
 _MAX_RADIUS = 10_000
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
 _BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
+_TERMS = 4096        # terms (points x sections x box) one lattice-sum call may hold
 _NEAR_ONE = 4 * np.finfo(float).eps  # a norm this close to 1 is taken as exactly 1
 
 TorusPoint = Union[complex, np.ndarray]
@@ -200,9 +203,10 @@ def _radius_for(scale: float) -> int:
     return max(radius, 1)
 
 
-def _section_terms(emb: ThetaEmbedding, points):
+def _section_terms(emb: ThetaEmbedding, points, refuse: bool = True):
     """Box centres k, shape (P, g), and terms, shape (P, sections, box), of
-    the lattice sums at P torus points.
+    the lattice sums at P torus points.  A point whose largest exponent passes
+    600 would overflow: it is refused, or without `refuse` its terms are 0.
 
     The term exp(pi*i*u^T Omega u + 2*pi*i*u^T w) at u = k + v, v an offset
     of the box, has the exponent pi*i*v^T Omega v (the table _quad) plus
@@ -215,35 +219,46 @@ def _section_terms(emb: ThetaEmbedding, points):
     common = 1j * math.pi * (centres * (shift + emb._scale * z)).sum(axis=1)
     linear = (2j * math.pi * (shift @ emb._offsets)).reshape(-1, *emb._quad.shape)
     exponents = emb._quad + linear + common[:, None, None]
-    if exponents.real.max() > 600.0:
+    overflows = exponents.real.max(axis=(1, 2)) > 600.0
+    if refuse and overflows.any():
         raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
+    exponents[overflows] = -np.inf  # exp gives 0
     return centres, np.exp(exponents)
 
 
 def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray:
-    """d/dz of every section along `tangent`, (P, sections): the factor of each
-    term is 2*pi*i*s*(u . tangent)."""
+    """d/dz of every section along `tangent`, one direction or one per point,
+    (P, sections): the factor of each term is 2*pi*i*s*(u . tangent)."""
     if tangent is None:
         if emb.genus != 1:
             raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
         tangent = 1.0
-    direction = np.reshape(np.asarray(tangent, dtype=complex), emb.genus)
-    slopes = (direction @ emb._offsets).reshape(emb._quad.shape) + (centres @ direction)[:, None, None]
+    direction = np.reshape(np.asarray(tangent, dtype=complex), (-1, emb.genus))
+    slopes = (direction @ emb._offsets).reshape(-1, *emb._quad.shape)
+    slopes = slopes + (centres * direction).sum(axis=1)[:, None, None]
     return 2j * math.pi * emb._scale * (slopes * terms).sum(axis=2)
 
 
 def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> tuple:
-    """Unit coordinate rows of `points` and, with a tangent, their derivative
-    rows divided by the same norms (else None): one lattice sum for all."""
-    centres, terms = _section_terms(emb, points)
-    raw = terms.sum(axis=2)
-    norms = np.array([np.linalg.norm(row) for row in raw])  # the norm normalize takes
-    if not norms.all():
-        raise EvaluationError(f"all sections vanish at {points[np.flatnonzero(norms == 0)[0]]!r}")
-    coords = raw / np.where(np.abs(norms - 1.0) <= _NEAR_ONE, 1.0, norms)[:, None]
-    if tangent is None:
-        return coords, None
-    return coords, _derivative_sums(emb, centres, terms, tangent) / norms[:, None]
+    """Unit coordinate rows of `points` and, with a tangent (one direction or
+    one per point), their derivative rows divided by the same norms (else
+    None).  A point whose sum overflows or vanishes, or whose norm overflows,
+    gets zero rows, which leave its rank probes undecided.  Each lattice sum
+    covers at most _TERMS terms."""
+    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    if tangent is not None:
+        tangent = np.broadcast_to(np.reshape(np.asarray(tangent, dtype=complex), (-1, emb.genus)), z.shape)
+    step = max(1, _TERMS // emb._quad.size)
+    coords, derivatives = [], []
+    for start in range(0, max(len(z), 1), step):  # one call for no points
+        centres, terms = _section_terms(emb, z[start:start + step], refuse=False)
+        raw = terms.sum(axis=2)
+        norms = np.linalg.norm(raw, axis=1)[:, None]
+        norms[norms == 0.0] = 1.0  # the row stays zero
+        coords.append(raw / norms)
+        if tangent is not None:
+            derivatives.append(_derivative_sums(emb, centres, terms, tangent[start:start + step]) / norms)
+    return np.concatenate(coords), np.concatenate(derivatives) if derivatives else None
 
 
 def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
@@ -278,9 +293,13 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     The derivative row is divided by the same norm as the coordinates, so the
     pair stays a consistent affine chart of the embedded curve/surface.
     """
-    coords, derivatives = _embed(emb, [z], tangent)
-    derivative = None if derivatives is None else derivatives[0]
-    return EmbeddedPoint(base=z, coords=coords[0], derivative=derivative)
+    centres, terms = _section_terms(emb, z)
+    values = terms.sum(axis=2)[0]
+    norm = np.linalg.norm(values)  # the norm normalize takes
+    if norm == 0.0:
+        raise EvaluationError(f"all sections vanish at {z!r}")
+    derivative = None if tangent is None else _derivative_sums(emb, centres, terms, tangent)[0] / norm
+    return EmbeddedPoint(base=z, coords=normalize(values), derivative=derivative)
 
 
 def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -312,10 +331,14 @@ def _lattice_coords(emb: ThetaEmbedding, points) -> np.ndarray:
     return np.concatenate([(z.real - y @ emb._period.real) / emb._steps, y], axis=1)
 
 
-def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray) -> TorusPoint:
-    """The torus point with lattice coordinates `coords` (length 2*genus)."""
-    g = emb.genus
-    z = emb._steps * coords[:g] + emb._period @ coords[g:]
+def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray):
+    """The torus point with lattice coordinates `coords` (length 2*genus), or
+    the list of points of the rows of a 2-d `coords`, each with the bits of
+    P @ y for its own row."""
+    g, coords = emb.genus, np.asarray(coords)
+    z = emb._steps * coords[..., :g] + np.einsum("ij,...j->...i", emb._period, coords[..., g:])
+    if coords.ndim == 2:
+        return z[:, 0].tolist() if g == 1 else list(z)
     return complex(z[0]) if g == 1 else z
 
 
@@ -404,10 +427,11 @@ def _rank(stack, tol: float) -> list:
     decided = [None] * len(matrices)
     if usable.any():
         singular = np.linalg.svd(matrices[usable] / norms[usable][..., None], compute_uv=False)
-        for member, values in zip(np.flatnonzero(usable), singular):
-            ratios = values / values[0]
-            rank = int(np.count_nonzero(ratios >= tol))
-            decided[member] = (ratios, rank, float(ratios[rank - 1]) if rank else 0.0)
+        ratios = singular / singular[:, :1]
+        ranks = np.count_nonzero(ratios >= tol, axis=1)
+        margins = np.where(ranks > 0, ratios[np.arange(len(ratios)), ranks - 1], 0.0)
+        for member, *outcome in zip(np.flatnonzero(usable), ratios, ranks.tolist(), margins.tolist()):
+            decided[member] = tuple(outcome)
     return decided
 
 
@@ -511,11 +535,8 @@ def _random_point(emb: ThetaEmbedding, rng: np.random.Generator) -> TorusPoint:
 
 def _grid_points(emb: ThetaEmbedding) -> list:
     offsets = [(i + 0.5) / _GRID_SIDE for i in range(_GRID_SIDE)]
-    return [
-        _point_from_coords(emb, np.array([x, y, y, x][: 2 * emb.genus]))
-        for x in offsets
-        for y in offsets
-    ]
+    coords = [[x, y, y, x][: 2 * emb.genus] for x in offsets for y in offsets]
+    return _point_from_coords(emb, np.array(coords))
 
 
 def scroll_smoothness_probe(
@@ -531,40 +552,46 @@ def scroll_smoothness_probe(
     runs the fibre independence probe, the two-fibre span probe (partner point
     kept away from the subgroup translates), and the derivative (immersion)
     probe.  Evaluation errors count as inconclusive; the summary is
-    deterministic for fixed inputs.  Bases are evaluated one by one, and their
-    ranks are decided in blocks of _BLOCK bases, one stacked SVD per probe kind.
+    deterministic for fixed inputs.  Bases go in blocks of _BLOCK, and each
+    block's partners and tangents are drawn before any of its points is summed.
     """
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    k = len(group)
+    k, g = len(group), emb.genus
     _check_group_order(emb, k)
     _check_group(emb, group)
     rng = np.random.default_rng(seed)
     grid = _grid_points(emb)
-    randoms = [_random_point(emb, rng) for _ in range(samples)]
+    randoms = _point_from_coords(emb, rng.random((samples, 2 * g)))
     offset = _pair_offset(emb, group)
+    shifts = np.reshape(np.asarray(group, dtype=complex), (1, k, g))
+
+    def translates(points, tangent=None):  # rows of the k translates of each point
+        coords, derivatives = _embed(emb, (np.reshape(points, (-1, 1, g)) + shifts).reshape(-1, g), tangent)
+        return coords.reshape(-1, k, emb.section_count), derivatives
 
     verdicts = {"pass": 0, "fail": 0, "inconclusive": 0}
     margins = []
     bases = randoms + grid
     for start in range(0, len(bases), _BLOCK):
-        block = []
-        for index in range(start, min(start + _BLOCK, len(bases))):
-            base = bases[index]
-            partner = _draw_partner(emb, group, base, rng, offset) if index < samples else base + offset
-            if emb.genus == 1:
-                tangent: object = 1.0
-            else:
+        block = bases[start:start + _BLOCK]
+        partners, tangents = [], []
+        for index, base in enumerate(block, start):
+            partners.append(_draw_partner(emb, group, base, rng, offset) if index < samples else base + offset)
+            if g == 2:
                 raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-                tangent = raw / np.linalg.norm(raw)
-            try:
-                block.append(_base_rows(emb, group, base, partner, tangent))
-            except (EvaluationError, ConfigurationError):
-                verdicts["inconclusive"] += 1
-        # a base with missing rows or a zero row counts one inconclusive and
-        # gets no later probe; the probes before it stand
-        for kind, expected in enumerate((k, 2 * k, 2 * k)):
-            outcomes = _decide([rows[kind] for rows in block], tol)
+                tangents.append(raw / np.linalg.norm(raw))
+        fibres, derivatives = translates(np.array(block), np.repeat(tangents, k, axis=0) if g == 2 else 1.0)
+        # a refused point has zero rows, and a fibre with one counts one
+        # inconclusive and gets no later probe; its partners are not evaluated
+        live = fibres.any(axis=2).all(axis=1)
+        pairs = np.zeros_like(fibres)
+        pairs[live] = translates(np.array(partners)[live])[0]
+        stacks = (fibres, np.concatenate([fibres, pairs], axis=1),
+                  np.concatenate([fibres, derivatives.reshape(fibres.shape)], axis=1))
+        members = range(len(block))
+        for stack, expected in zip(stacks, (k, 2 * k, 2 * k)):
+            outcomes = _rank(stack[list(members)], tol)
             for outcome in outcomes:
                 if outcome is None:
                     verdicts["inconclusive"] += 1
@@ -572,7 +599,7 @@ def scroll_smoothness_probe(
                     ratios, observed, margin = outcome
                     verdicts[_verdict(ratios, observed, expected)] += 1
                     margins.append(margin)
-            block = [rows for rows, outcome in zip(block, outcomes) if outcome is not None]
+            members = [m for m, outcome in zip(members, outcomes) if outcome is not None]
     return ProbeSummary(
         genus=emb.genus,
         section_count=emb.section_count,
@@ -585,30 +612,6 @@ def scroll_smoothness_probe(
         inconclusives=verdicts["inconclusive"],
         min_margin=float(min(margins)) if margins else float("nan"),
     )
-
-
-def _base_rows(emb, group, base, partner, tangent) -> tuple:
-    """Rows of a base's fibre, two-fibre and immersion probes: the fibre's
-    points, with derivatives along `tangent`, in one lattice sum and the
-    partner's points in another.  The last two are None when the partners
-    fail to evaluate, and the partners are not evaluated when a zero row (an
-    overflowed norm) leaves the fibre probe undecided."""
-    fibre, derivatives = _embed(emb, [base + rho for rho in group], tangent)
-    if not np.all(np.linalg.norm(fibre, axis=-1)):
-        return fibre, None, None
-    try:
-        partners, _ = _embed(emb, [partner + rho for rho in group])
-    except (EvaluationError, ConfigurationError):
-        return fibre, None, None
-    return fibre, np.concatenate([fibre, partners]), np.concatenate([fibre, derivatives])
-
-
-def _decide(stacks: list, tol: float) -> list:
-    """_rank of each entry of `stacks` in one call; None where the entry is
-    None or holds a zero row."""
-    present = [rows for rows in stacks if rows is not None]
-    decided = iter(_rank(present, tol) if present else ())
-    return [None if rows is None else next(decided) for rows in stacks]
 
 
 def _draw_partner(emb, group, base, rng, offset, attempts: int = 32) -> TorusPoint:

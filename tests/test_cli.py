@@ -233,6 +233,42 @@ def test_verify_text_and_csv_do_not_hold_the_equality_pairs(tmp_path, fmt):
     assert peak < 2 * 2**20
 
 
+def test_verify_json_does_not_hold_the_equality_pairs(tmp_path):
+    # the pairs are written from the (n, k) ranges, not collected as they pass
+    target = tmp_path / "sweep.json"
+    tracemalloc.start()
+    try:
+        code = main(_grid_argv(range(1, 2), range(1, 200001)) + ["--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+    with target.open("rb") as handle:
+        handle.seek(-200, os.SEEK_END)
+        tail = handle.read().decode()
+    assert tail.endswith('      [\n        1,\n        200000\n      ]\n    ],\n'
+                         '    "classification_holds": true\n  },\n  "warnings": []\n}\n')
+
+
+def test_verify_json_equality_set_follows_the_records(capsys, monkeypatch):
+    # a pair of n <= 2 that is not "eq" leaves the set; a pair of n >= 3 that is joins it
+    flips = {(2, 2): "gt", (3, 1): "eq", (4, 3): "eq"}
+
+    def tampered(ns, ks):
+        for rec in sweep_records(ns, ks):
+            yield dataclasses.replace(rec, relation=flips.get((rec.n, rec.k), rec.relation))
+
+    monkeypatch.setattr("scrolls.cli.sweep_records", tampered)
+    code, out = run_cli(capsys, _grid_argv(range(1, 5), range(1, 4)))
+    assert code == 1
+    env = json.loads(out)
+    records = env["payload"]["records"]
+    assert env["payload"]["equality_set"] == [[r["n"], r["k"]] for r in records if r["relation"] == "eq"]
+    assert [3, 1] in env["payload"]["equality_set"] and [2, 2] not in env["payload"]["equality_set"]
+    assert out == json.dumps(env, indent=2) + "\n"
+
+
 def test_family_reports_and_note(capsys):
     code, env = run_cli_json(capsys, ["family", "--k-max", "5"])
     assert code == 0

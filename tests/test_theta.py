@@ -447,39 +447,54 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
 
     emb, group = probe_setup(genus, degree, period, torsion)
     k, samples = len(group), 5
-    calls, summed = [], []
-    embed, section_terms = theta._embed, theta._section_terms
+    summed, tangents = [], {}  # points of each lattice sum; call index -> tangent rows
+    section_terms, derivative_sums = theta._section_terms, theta._derivative_sums
 
-    def counted_embed(emb, points, tangent=None):
-        calls.append((len(points), tangent is not None))
-        return embed(emb, points, tangent)
+    def counted_terms(emb, points, refuse=True):
+        summed.append(np.reshape(points, (-1, genus)))
+        return section_terms(emb, points, refuse)
 
-    def counted_terms(emb, points):
-        summed.append(len(points))
-        return section_terms(emb, points)
+    def counted_derivatives(emb, centres, terms, tangent):
+        rows = np.reshape(np.asarray(tangent, dtype=complex), (-1, genus))
+        tangents[len(summed) - 1] = np.broadcast_to(rows, (len(centres), genus))
+        return derivative_sums(emb, centres, terms, tangent)
 
-    monkeypatch.setattr(theta, "_embed", counted_embed)
     monkeypatch.setattr(theta, "_section_terms", counted_terms)
+    monkeypatch.setattr(theta, "_derivative_sums", counted_derivatives)
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=1)
-    bases = samples + theta._GRID_SIDE ** 2
-    assert summary.probes == summary.passes == 3 * bases
-    # per base point: the k fibre points with the tangent, then the k
-    # partners, each set in one lattice sum and no point in a second one
-    assert calls == [(k, True), (k, False)] * bases
-    assert summed == [k] * (2 * bases)
+    bases = theta._point_from_coords(emb, np.random.default_rng(1).random((samples, 2 * genus)))
+    bases += theta._grid_points(emb)
+    assert summary.probes == summary.passes == 3 * len(bases)
+    # the fibre points of all bases with their tangents, then all partners:
+    # each point in one lattice sum, each sum within the term budget
+    step = max(1, theta._TERMS // emb._quad.size)
+    assert all(len(points) <= step for points in summed)
+    assert len(summed) == 2 * math.ceil(k * len(bases) / step) < 2 * len(bases)
+    fibres = np.concatenate([summed[i] for i in sorted(tangents)])
+    expected = np.reshape([base + rho for base in bases for rho in group], (-1, genus))
+    assert np.array_equal(fibres, expected)
+    directions = np.concatenate([tangents[i] for i in sorted(tangents)]).reshape(len(bases), k, genus)
+    assert np.all(directions == directions[:, :1])  # one tangent per base
+    assert np.allclose(np.linalg.norm(directions, axis=2), 1.0)
+    # the rest are the k translates of each base's partner, k per base
+    partners = np.concatenate([p for i, p in enumerate(summed) if i not in tangents])
+    assert partners.shape == (k * len(bases), genus)
+    partners = partners.reshape(len(bases), k, genus)
+    group_rows = np.reshape(np.asarray(group, dtype=complex), (k, genus))
+    assert np.allclose(partners - partners[:, :1], group_rows - group_rows[0], atol=1e-12)
 
 
 def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
-    # the partner points are the only ones evaluated without a tangent
+    # the partner points are the only ones evaluated without a tangent; a
+    # refused point comes back as zero rows
     import scrolls.theta as theta
 
     emb, group = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
     embed = theta._embed
 
     def failing_partners(emb, points, tangent=None):
-        if tangent is None:
-            raise EvaluationError("partner refused")
-        return embed(emb, points, tangent)
+        coords, derivatives = embed(emb, points, tangent)
+        return (np.zeros_like(coords) if tangent is None else coords), derivatives
 
     monkeypatch.setattr(theta, "_embed", failing_partners)
     summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
@@ -502,7 +517,7 @@ def test_smoothness_probe_zero_derivative_rows_are_inconclusive(
     emb, group = probe_setup(genus, degree, period, torsion)
     monkeypatch.setattr(
         theta, "_derivative_sums",
-        lambda emb, u, terms, tangent: np.zeros(emb.section_count, dtype=complex),
+        lambda emb, centres, terms, tangent: np.zeros(terms.shape[:2], dtype=complex),
     )
     summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
     bases = 5 + theta._GRID_SIDE ** 2
@@ -510,6 +525,34 @@ def test_smoothness_probe_zero_derivative_rows_are_inconclusive(
     assert (summary.probes, summary.passes, summary.fails, summary.inconclusives) == (
         3 * bases, 2 * bases, 0, bases
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("config", [config for config, _ in PINNED_SUMMARIES])
+def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, config):
+    # one base per block and one fibre per lattice sum, as the probe once
+    # evaluated them; the m = 11 row has bases whose points are refused
+    import scrolls.theta as theta
+
+    default = pinned_probe(config)
+    emb, group = probe_setup(*config[:4])
+    monkeypatch.setattr(theta, "_BLOCK", 1)
+    monkeypatch.setattr(theta, "_TERMS", len(group) * emb._quad.size)
+    assert pinned_probe(config) == default  # min_margin to the last bit
+
+
+@pytest.mark.parametrize("make", [lambda: elliptic_embedding(7, 0.3 + 0.9j),
+                                  lambda: surface_embedding(7, OMEGA)])
+def test_random_bases_drawn_in_one_call_match_one_at_a_time(make):
+    from scrolls.theta import _point_from_coords, _random_point
+
+    emb = make()
+    together = _point_from_coords(emb, np.random.default_rng(5).random((40, 2 * emb.genus)))
+    rng = np.random.default_rng(5)
+    for point in together:
+        alone = _random_point(emb, rng)
+        assert type(point) is type(alone)
+        assert np.array_equal(point, alone)
 
 
 def test_basis_eval_derivative_is_scaled_theta_derivative():
