@@ -37,6 +37,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -285,15 +286,17 @@ def write_json(envelope: ReportEnvelope, out) -> None:
         return json.dumps(data, indent=2, default=_complex_json).split('"\\u0000"')
 
     def write_list(template, rows) -> None:
-        out.write("[")
-        separator = "\n"
-        for row in rows:
-            out.write(separator + template % row)
-            separator = ",\n"
-        out.write("]" if separator == "\n" else "\n    ]")
+        # rows: an iterator of tuples; those after the first carry the separator
+        first = next(rows, None)
+        if first is None:
+            out.write("[]")
+        else:
+            out.write("[\n" + template % first)
+            out.writelines(map((",\n" + template).__mod__, rows))
+            out.write("\n    ]")
 
     out.write(around_lists()[0])
-    write_list(_RECORD_JSON, ((r.n, r.k, r.lhs, r.rhs, r.relation) for r in payload["records"]))
+    write_list(_RECORD_JSON, payload["records"])
     # the fields after the records, and the equality set, are final only now
     _, between, after = around_lists()
     out.write(between)
@@ -317,8 +320,7 @@ def write_csv(envelope: ReportEnvelope, out) -> None:
     kind = payload.get("kind")
     if kind == "sweep":
         writer.writerow(["n", "k", "lhs", "rhs", "relation"])
-        for r in payload["records"]:
-            out.write("%d,%d,%d,%d,%s\n" % (r.n, r.k, r.lhs, r.rhs, r.relation))
+        out.writelines(map("%d,%d,%d,%d,%s\n".__mod__, payload["records"]))
     elif kind in _CSV_COLUMNS:
         columns = _CSV_COLUMNS[kind]
         writer.writerow(columns)
@@ -340,8 +342,7 @@ def write_text(envelope: ReportEnvelope, out) -> None:
             )
     elif kind == "sweep":
         checked = equal = 0
-        for r in payload["records"]:
-            checked += 1
+        for checked, r in enumerate(payload["records"], 1):
             equal += r.relation == "eq"
         lines.append(f"  {checked} pairs checked; equality at {equal} of them")
         lines.append(f"  classification holds: {payload['classification_holds']}")
@@ -377,14 +378,18 @@ render_csv = functools.partial(_render, write_csv)
 
 
 def _resolve_output(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    resolved = Path(path)
-    if not resolved.is_absolute():
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            resolved = Path(base) / resolved
-    return resolved
+    # an absolute path discards the base it is joined to
+    return None if path is None else Path(os.environ.get(OUTPUT_DIR_ENV) or "") / path
+
+
+def _file_mode(path: Path) -> int:
+    """The mode open(path, "w") leaves: an existing file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 @contextlib.contextmanager
@@ -397,6 +402,7 @@ def _output(path: Path | None):
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            os.chmod(tmp_name, _file_mode(path))  # mkstemp makes it 0o600
             yield handle
         os.replace(tmp_name, path)
     except BaseException:

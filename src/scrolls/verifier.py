@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .invariants import ScrollData, ScrollReport, build_report
 from .ring import binomial
@@ -30,8 +30,7 @@ FAMILY_DEGREE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(NamedTuple):
     n: int
     k: int
     lhs: int
@@ -63,12 +62,7 @@ class SweepResult:
 
 def inequality_check(n: int, k: int) -> InequalityRecord:
     """Exact comparison of C(n+k-1,k-1)*(2n+2k-1)*n! against k*C(2n+2k-1,n)."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    lhs = binomial(n + k - 1, k - 1) * (2 * n + 2 * k - 1) * math.factorial(n)
-    rhs = k * binomial(2 * n + 2 * k - 1, n)
-    relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
-    return InequalityRecord(n=n, k=k, lhs=lhs, rhs=rhs, relation=relation)
+    return next(sweep_records((n,), (k,)))  # a one-pair row: both binomials computed afresh
 
 
 def termwise_check(n: int, k: int) -> TermwiseRecord:
@@ -97,8 +91,8 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
     """Inequality records for every (n, k) pair, yielded in (n, k) order.
 
     The ranges are validated at call time.  Along a row C(n+k-1, k-1) and
-    C(2n+2k-1, n) step from k-1 to k by exact ratios, reseeded at each row
-    start and k gap; each record equals `inequality_check(n, k)`.
+    C(2n+2k-1, n) step from k-1 to k by exact ratios, and are computed afresh
+    at each row start and k gap.
     """
     n_values, k_values = _ascending(n_range), _ascending(k_range)
     if not n_values or not k_values:
@@ -121,7 +115,7 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
                 previous = k
                 lhs, rhs = left * m * factorial, k * right
                 relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
-                yield InequalityRecord(n=n, k=k, lhs=lhs, rhs=rhs, relation=relation)
+                yield InequalityRecord(n, k, lhs, rhs, relation)
 
     return rows()
 

@@ -1,14 +1,15 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,9 +112,17 @@ def _grid_argv(n_range, k_range):
             "--k-min", str(k_range[0]), "--k-max", str(k_range[-1])]
 
 
+def _closed_form(n, k):
+    """One pair of the inequality from math.comb, without the package's arithmetic."""
+    lhs = math.comb(n + k - 1, k - 1) * (2 * n + 2 * k - 1) * math.factorial(n)
+    rhs = k * math.comb(2 * n + 2 * k - 1, n)
+    relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
+    return types.SimpleNamespace(n=n, k=k, lhs=lhs, rhs=rhs, relation=relation)
+
+
 def _reference_verify(n_range, k_range, fmt, timestamp):
-    """verify output rebuilt from the per-pair oracle with json.dumps and csv.writer."""
-    records = [inequality_check(n, k) for n in n_range for k in k_range]
+    """verify output rebuilt from the closed form with json.dumps and csv.writer."""
+    records = [_closed_form(n, k) for n in n_range for k in k_range]
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -151,6 +160,7 @@ def _reference_verify(n_range, k_range, fmt, timestamp):
     (range(1, 2), range(1, 2)),
     (range(1, 3), range(1, 301)),  # equality at every pair
     (range(2000, 2001), range(1, 2)),  # more than 4300 digits
+    (range(3, 203), range(2, 202)),  # the benchmark's 200 x 200 grid, at a row offset
 ])
 def test_verify_output_matches_oracle_reference(capsys, n_range, k_range, fmt):
     code, out = run_cli(capsys, _grid_argv(n_range, k_range) + ["--format", fmt])
@@ -164,7 +174,7 @@ def test_verify_output_matches_oracle_reference(capsys, n_range, k_range, fmt):
 def _tampered_rows(ns, ks):
     # one record of the n <= 2 part claims a strict inequality
     for rec in sweep_records(ns, ks):
-        yield dataclasses.replace(rec, relation="gt") if (rec.n, rec.k) == (2, 2) else rec
+        yield rec._replace(relation="gt") if (rec.n, rec.k) == (2, 2) else rec
 
 
 def test_verify_classification_violation_exits_one(capsys, tmp_path, monkeypatch):
@@ -221,10 +231,11 @@ def test_verify_streams_without_holding_the_grid(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_verify_text_and_csv_do_not_hold_the_equality_pairs(tmp_path, fmt):
-    # every pair of n = 1 is an equality case; held, they take about 130 bytes each
+    # every pair of n = 1 is an equality case; held, they take about 130 bytes
+    # each, about 6.5 MB for these 50000
     tracemalloc.start()
     try:
-        code = main(_grid_argv(range(1, 2), range(1, 200001))
+        code = main(_grid_argv(range(1, 2), range(1, 50001))
                     + ["--format", fmt, "--output", str(tmp_path / "sweep.out")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -238,7 +249,7 @@ def test_verify_json_does_not_hold_the_equality_pairs(tmp_path):
     target = tmp_path / "sweep.json"
     tracemalloc.start()
     try:
-        code = main(_grid_argv(range(1, 2), range(1, 200001)) + ["--output", str(target)])
+        code = main(_grid_argv(range(1, 2), range(1, 50001)) + ["--output", str(target)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +258,7 @@ def test_verify_json_does_not_hold_the_equality_pairs(tmp_path):
     with target.open("rb") as handle:
         handle.seek(-200, os.SEEK_END)
         tail = handle.read().decode()
-    assert tail.endswith('      [\n        1,\n        200000\n      ]\n    ],\n'
+    assert tail.endswith('      [\n        1,\n        50000\n      ]\n    ],\n'
                          '    "classification_holds": true\n  },\n  "warnings": []\n}\n')
 
 
@@ -257,7 +268,7 @@ def test_verify_json_equality_set_follows_the_records(capsys, monkeypatch):
 
     def tampered(ns, ks):
         for rec in sweep_records(ns, ks):
-            yield dataclasses.replace(rec, relation=flips.get((rec.n, rec.k), rec.relation))
+            yield rec._replace(relation=flips.get((rec.n, rec.k), rec.relation))
 
     monkeypatch.setattr("scrolls.cli.sweep_records", tampered)
     code, out = run_cli(capsys, _grid_argv(range(1, 5), range(1, 4)))
@@ -571,6 +582,38 @@ def test_output_file_written_atomically(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     env = json.loads(target.read_text())
     assert env["payload"]["reports"][0]["deg_Y"] == "5"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+_BOUND_ARGV = ["very-ample-bound", "--n", "3", "--l", "13"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["022", "027"])
+def test_output_new_file_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    target = tmp_path / "bound.json"
+    previous = os.umask(umask)
+    try:
+        assert main(_BOUND_ARGV + ["--output", str(target)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert json.loads(target.read_text())["payload"]["max_odd_k"] == 5
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_output_replacing_a_file_keeps_its_mode(tmp_path):
+    target = tmp_path / "bound.json"
+    target.write_text("earlier report")
+    target.chmod(0o604)
+    previous = os.umask(0o077)
+    try:
+        assert main(_BOUND_ARGV + ["--output", str(target)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o604
+    assert json.loads(target.read_text())["payload"]["max_odd_k"] == 5
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scrolls.invariants import ScrollData, double_point_number
 from scrolls.verifier import (
     FAMILY_DEGREE_NOTE,
+    InequalityRecord,
     conjecture_family_report,
     inequality_check,
     sweep,
@@ -77,8 +80,29 @@ grid_values = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 60)), min_siz
 @given(grid_values, grid_values)
 @example([7, 1, 3, 1], [9, 1, 4, 5, 2])
 def test_sweep_records_match_per_pair_oracle(ns, ks):
-    expected = [inequality_check(n, k) for n in sorted(set(ns)) for k in sorted(set(ks))]
+    pairs = [(n, k) for n in sorted(set(ns)) for k in sorted(set(ks))]
+    expected = []
+    for n, k in pairs:
+        lhs = math.comb(n + k - 1, k - 1) * (2 * n + 2 * k - 1) * math.factorial(n)
+        rhs = k * math.comb(2 * n + 2 * k - 1, n)
+        expected.append((n, k, lhs, rhs, "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")))
     assert list(sweep_records(ns, ks)) == expected
+    assert [inequality_check(n, k) for n, k in pairs] == expected
+
+
+def test_sweep_records_are_immutable_inequality_records():
+    records = list(sweep_records(range(1, 4), range(1, 3)))
+    # tuple equality alone would also accept plain 5-tuples
+    assert all(isinstance(rec, InequalityRecord) for rec in records)
+    assert isinstance(inequality_check(3, 2), InequalityRecord)
+    rec = records[0]
+    assert rec._fields == ("n", "k", "lhs", "rhs", "relation")
+    assert rec == (1, 1, 3, 3, "eq")
+    with pytest.raises(AttributeError):
+        rec.relation = "gt"
+    tampered = rec._replace(relation="gt")
+    assert isinstance(tampered, InequalityRecord)
+    assert tampered == (1, 1, 3, 3, "gt") and rec.relation == "eq"
 
 
 @pytest.mark.parametrize(("ns", "ks", "message"), [
