@@ -394,10 +394,11 @@ def _file_mode(path: Path) -> int:
 
 @contextlib.contextmanager
 def _output(path: Path | None):
-    """stdout, or a temp file that replaces `path` only once fully written."""
+    """stdout, or a temp file that replaces `path` (a symlink's target) once fully written."""
     if path is None:
         yield sys.stdout
         return
+    path = Path(os.path.realpath(path))  # never raises, even on a symlink loop
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:

@@ -31,7 +31,10 @@ term; it is the same at every point and never set by the caller.  The box's
 offsets from k and their quadratic term are therefore built once per
 embedding, and a point adds only a term linear in the offsets and a constant
 before exponentiating.  One call sums any number of points, and that one
-exponent array gives both the values and the derivatives.
+exponent array gives both the values and the derivatives.  Each point's terms
+are divided by exp(M), M their largest real part, so that no projective image
+overflows; only the raw values and derivatives multiply exp(M) back, and they
+refuse M > 600.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
@@ -41,8 +44,8 @@ have full rank (the immersion condition).  Each torus point is evaluated once
 and shared by all three probes.  For a block of base points, all fibre points
 (with their bases' tangents) go through one pass of lattice sums of at most
 _TERMS terms each, their partners through another, and each probe kind's
-ranks are decided by one stacked SVD; a point whose sum would overflow or
-vanishes gets zero rows, which leave only its own base undecided.  Ranks are
+ranks are decided by one stacked SVD; a point whose sections all vanish
+gets zero rows, which leave only its own base undecided.  Ranks are
 decided by singular value ratios with a hard threshold and a gray zone that
 yields an "inconclusive" verdict rather than overclaiming.  Everything is
 deterministic for a fixed seed.
@@ -64,7 +67,6 @@ _MAX_RADIUS = 10_000
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
 _BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
 _TERMS = 4096        # terms (points x sections x box) one lattice-sum call may hold
-_NEAR_ONE = 4 * np.finfo(float).eps  # a norm this close to 1 is taken as exactly 1
 
 TorusPoint = Union[complex, np.ndarray]
 
@@ -203,27 +205,28 @@ def _radius_for(scale: float) -> int:
     return max(radius, 1)
 
 
-def _section_terms(emb: ThetaEmbedding, points, refuse: bool = True):
-    """Box centres k, shape (P, g), and terms, shape (P, sections, box), of
-    the lattice sums at P torus points.  A point whose largest exponent passes
-    600 would overflow: it is refused, or without `refuse` its terms are 0.
+def _section_terms(emb: ThetaEmbedding, points):
+    """Box centres k, shape (P, g), terms, shape (P, sections, box), and
+    peaks M, shape (P,), of the lattice sums at P torus points.  Each point's
+    terms are divided by exp(M), M the largest real part among its exponents,
+    a positive factor shared by all its sections and derivative sums.
 
     The term exp(pi*i*u^T Omega u + 2*pi*i*u^T w) at u = k + v, v an offset
     of the box, has the exponent pi*i*v^T Omega v (the table _quad) plus
     2*pi*i*v.(Omega*k + w) plus pi*i*k.(Omega*k + 2*w), which is the same for
-    every term of the point; Omega*k + w = s*(P*k + z).
+    every term of the point; Omega*k + w = s*(P*k + z).  M is subtracted from
+    that constant alone, so its rounding, large far from the fundamental
+    domain, scales all the point's terms alike and moves no projective point.
     """
     z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
     centres = np.ceil(-z.imag @ emb._inv_imag)
     shift = emb._scale * (centres @ emb._period + z)
     common = 1j * math.pi * (centres * (shift + emb._scale * z)).sum(axis=1)
     linear = (2j * math.pi * (shift @ emb._offsets)).reshape(-1, *emb._quad.shape)
-    exponents = emb._quad + linear + common[:, None, None]
-    overflows = exponents.real.max(axis=(1, 2)) > 600.0
-    if refuse and overflows.any():
-        raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
-    exponents[overflows] = -np.inf  # exp gives 0
-    return centres, np.exp(exponents)
+    exponents = emb._quad + linear
+    peaks = exponents.real.max(axis=(1, 2)) + common.real
+    exponents += (common - peaks)[:, None, None]
+    return centres, np.exp(exponents), peaks
 
 
 def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray:
@@ -242,16 +245,15 @@ def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray
 def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> tuple:
     """Unit coordinate rows of `points` and, with a tangent (one direction or
     one per point), their derivative rows divided by the same norms (else
-    None).  A point whose sum overflows or vanishes, or whose norm overflows,
-    gets zero rows, which leave its rank probes undecided.  Each lattice sum
-    covers at most _TERMS terms."""
+    None).  A point whose sections all vanish gets zero rows, which leave its
+    rank probes undecided.  Each lattice sum covers at most _TERMS terms."""
     z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
     if tangent is not None:
         tangent = np.broadcast_to(np.reshape(np.asarray(tangent, dtype=complex), (-1, emb.genus)), z.shape)
     step = max(1, _TERMS // emb._quad.size)
     coords, derivatives = [], []
     for start in range(0, max(len(z), 1), step):  # one call for no points
-        centres, terms = _section_terms(emb, z[start:start + step], refuse=False)
+        centres, terms, _ = _section_terms(emb, z[start:start + step])
         raw = terms.sum(axis=2)
         norms = np.linalg.norm(raw, axis=1)[:, None]
         norms[norms == 0.0] = 1.0  # the row stays zero
@@ -261,9 +263,18 @@ def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> t
     return np.concatenate(coords), np.concatenate(derivatives) if derivatives else None
 
 
+def _raw_terms(emb: ThetaEmbedding, z: TorusPoint) -> tuple:
+    """Centres, scaled terms and exp(M) at one point, refused once M > 600."""
+    centres, terms, peaks = _section_terms(emb, z)
+    if peaks[0] > 600.0:
+        raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
+    return centres, terms, math.exp(peaks[0])
+
+
 def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
     """Raw (unnormalized) values of all sections at z."""
-    return _section_terms(emb, z)[1].sum(axis=2)[0]
+    _, terms, factor = _raw_terms(emb, z)
+    return terms.sum(axis=2)[0] * factor
 
 
 def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.ndarray:
@@ -272,34 +283,22 @@ def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.nd
     For genus 1 the direction defaults to 1 (d/dz); for genus 2 it must be a
     complex 2-vector.
     """
-    return _derivative_sums(emb, *_section_terms(emb, z), tangent)[0]
-
-
-def normalize(vector: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean norm; idempotent to the last bit.
-
-    Vectors already within a few ulps of unit norm are returned unchanged, so
-    renormalizing is exactly the identity.
-    """
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise EvaluationError("cannot normalize the zero vector")
-    return vector if abs(norm - 1.0) <= _NEAR_ONE else vector / norm
+    centres, terms, factor = _raw_terms(emb, z)
+    return _derivative_sums(emb, centres, terms, tangent)[0] * factor
 
 
 def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> EmbeddedPoint:
-    """Projective image of z, optionally with the derivative along tangent.
+    """Projective image of z (its row of _embed), optionally with the
+    derivative along tangent.
 
     The derivative row is divided by the same norm as the coordinates, so the
     pair stays a consistent affine chart of the embedded curve/surface.
     """
-    centres, terms = _section_terms(emb, z)
-    values = terms.sum(axis=2)[0]
-    norm = np.linalg.norm(values)  # the norm normalize takes
-    if norm == 0.0:
+    coords, derivatives = _embed(emb, [z], tangent)
+    if not coords.any():
         raise EvaluationError(f"all sections vanish at {z!r}")
-    derivative = None if tangent is None else _derivative_sums(emb, centres, terms, tangent)[0] / norm
-    return EmbeddedPoint(base=z, coords=normalize(values), derivative=derivative)
+    derivative = None if derivatives is None else derivatives[0]
+    return EmbeddedPoint(base=z, coords=coords[0], derivative=derivative)
 
 
 def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -463,20 +462,20 @@ def _verdict(ratios, observed: int, expected_rank: int) -> str:
     return "fail"
 
 
-def _cluster_probe(points, vectors, expected_rank: int, tol: float) -> ClusterProbe:
-    ratios, observed, margin = _rank_one(vectors, tol, EvaluationError)
+def _cluster_probe(emb: ThetaEmbedding, points, tangent, expected_rank: int, tol: float) -> ClusterProbe:
+    """Rank probe of the coordinate rows of `points` and, with a tangent,
+    their derivative rows, all from one _embed call."""
+    coords, derivatives = _embed(emb, points, tangent)
+    rows = coords if derivatives is None else np.concatenate([coords, derivatives])
+    ratios, observed, margin = _rank_one(rows, tol, EvaluationError)
+    derivatives = [None] * len(coords) if derivatives is None else derivatives
     return ClusterProbe(
-        points=tuple(points),
+        points=tuple(map(EmbeddedPoint, points, coords, derivatives)),
         expected_rank=expected_rank,
         observed_rank=observed,
         margin=margin,
         verdict=_verdict(ratios, observed, expected_rank),
     )
-
-
-def _rows(embedded, with_derivatives: bool = False) -> list:
-    rows = [p.coords for p in embedded]
-    return rows + [p.derivative for p in embedded] if with_derivatives else rows
 
 
 def fibre_independence_probe(
@@ -485,8 +484,7 @@ def fibre_independence_probe(
     """Check that the translates of one point by the subgroup embed to |G|
     independent points (base-point freeness of the scroll's fibres)."""
     _check_group(emb, group)
-    embedded = [theta_basis_eval(emb, base + rho) for rho in group]
-    return _cluster_probe(embedded, _rows(embedded), len(group), tol)
+    return _cluster_probe(emb, [base + rho for rho in group], None, len(group), tol)
 
 
 def very_ampleness_cluster_probe(
@@ -514,8 +512,7 @@ def very_ampleness_cluster_probe(
         tangent = None
     elif tangent is None:
         tangent = np.eye(emb.genus)[0]  # along the first coordinate
-    embedded = [theta_basis_eval(emb, p, tangent=tangent) for p in points]
-    return _cluster_probe(embedded, _rows(embedded, with_derivatives), length, tol)
+    return _cluster_probe(emb, points, tangent, length, tol)
 
 
 def _pair_offset(emb: ThetaEmbedding, group: Sequence[TorusPoint]) -> TorusPoint:
@@ -582,8 +579,8 @@ def scroll_smoothness_probe(
                 raw = rng.normal(size=2) + 1j * rng.normal(size=2)
                 tangents.append(raw / np.linalg.norm(raw))
         fibres, derivatives = translates(np.array(block), np.repeat(tangents, k, axis=0) if g == 2 else 1.0)
-        # a refused point has zero rows, and a fibre with one counts one
-        # inconclusive and gets no later probe; its partners are not evaluated
+        # a point whose sections vanish has zero rows; a fibre with one counts
+        # one inconclusive and gets no later probe, nor are its partners summed
         live = fibres.any(axis=2).all(axis=1)
         pairs = np.zeros_like(fibres)
         pairs[live] = translates(np.array(partners)[live])[0]

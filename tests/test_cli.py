@@ -376,6 +376,23 @@ def test_probe_elliptic(capsys):
     assert payload["group_order"] == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_probe_elliptic_with_terms_beyond_the_float_range(capsys):
+    # at Im(tau) = 6 some fibre points have terms near 1e176, whose unscaled
+    # norm overflows; every base is decided all the same
+    code, env = run_cli_json(
+        capsys,
+        ["probe-elliptic", "--m", "11", "--tau", "0.1,6.0", "--torsion", "0,1,5",
+         "--samples", "30", "--seed", "2"],
+    )
+    assert code == 0
+    payload = env["payload"]
+    assert (payload["probes"], payload["passes"], payload["fails"], payload["inconclusives"]) == (
+        138, 138, 0, 0
+    )
+    assert env["warnings"] == []
+
+
 def test_probe_elliptic_non_exact_torsion_warns(capsys):
     code, env = run_cli_json(
         capsys,
@@ -614,6 +631,17 @@ def test_output_replacing_a_file_keeps_its_mode(tmp_path):
         os.umask(previous)
     assert stat.S_IMODE(target.stat().st_mode) == 0o604
     assert json.loads(target.read_text())["payload"]["max_odd_k"] == 5
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+def test_output_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real.json").write_text("earlier report")
+    link = tmp_path / "link.json"
+    link.symlink_to("real.json")
+    assert main(_BOUND_ARGV + ["--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "real.json").read_text())["payload"]["max_odd_k"] == 5
     assert not list(tmp_path.glob("*.tmp"))
 
 

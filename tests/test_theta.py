@@ -15,7 +15,6 @@ from scrolls.theta import (
     elliptic_embedding,
     fibre_independence_probe,
     lattice_distance,
-    normalize,
     projective_residual,
     reduce_mod_lattice,
     scroll_smoothness_probe,
@@ -89,7 +88,7 @@ def test_quasi_periodicity_tau_shift_common_factor():
         shifted = theta_values(emb, z + TAU)
         factor = np.exp(-1j * math.pi * m * TAU - 2j * math.pi * m * z)
         assert np.linalg.norm(shifted - factor * raw) / np.linalg.norm(shifted) < 1e-9
-        assert projective_residual(normalize(raw), normalize(shifted)) < 1e-9
+        assert projective_residual(raw / np.linalg.norm(raw), shifted / np.linalg.norm(shifted)) < 1e-9
 
 
 def test_torsion_translation_is_diagonal_phase():
@@ -146,20 +145,6 @@ def test_genus2_derivative_matches_finite_differences():
             theta_values(emb, z + step * tangent) - theta_values(emb, z - step * tangent)
         ) / (2 * step)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic) < 1e-6
-
-
-def test_normalize_idempotent_to_the_last_bit():
-    rng = np.random.default_rng(11)
-    vec = rng.normal(size=7) + 1j * rng.normal(size=7)
-    once = normalize(vec)
-    twice = normalize(once)
-    assert twice is once
-    assert np.array_equal(once, twice)
-
-
-def test_normalize_rejects_zero():
-    with pytest.raises(EvaluationError):
-        normalize(np.zeros(4))
 
 
 # ------------------------------------------------------------ torus geometry
@@ -375,18 +360,20 @@ def test_infinitely_near_cluster_of_length_m_minus_one():
 
 # (genus, degree, torsion, samples, seed) -> (probes, passes, fails,
 # inconclusives, float.hex(min_margin)), recorded before the probe engine
-# evaluated each torus point once.  The m = 11, Im(tau) = 6 case has bases
-# whose lattice sums overflow, so it pins the one-inconclusive-per-failed-base
-# accounting.  Every decisive ratio of these rows lies at least three decades
-# from the gray-zone cutoffs, so their verdict counts are exact across BLAS
-# builds; min_margin is compared to a relative 1e-9, since SVDs of different
-# builds may differ in the last bits.  A change to any verdict must update
+# evaluated each torus point once; the m = 11, Im(tau) = 6 row was recorded
+# when each point's terms came to be scaled by the largest.  That case has
+# fibre points whose terms pass 1e154, beyond an unscaled norm, and
+# test_m11_points_beyond_the_norm_range_match_mpmath checks them.  Every
+# decisive ratio of these rows lies at least three decades from the gray-zone
+# cutoffs, so their verdict counts are exact across BLAS builds; min_margin
+# is compared to a relative 1e-9, since SVDs of different builds may differ
+# in the last bits.  A change to any verdict must update
 # this table with its evidence.
 PINNED_SUMMARIES = [
     ((1, 5, 1j, (1, 0, 2), 30, 7), (138, 138, 0, 0, "0x1.7c190c08fe9b0p-6")),
     ((1, 7, 1j, (1, 0, 3), 30, 11), (138, 138, 0, 0, "0x1.5f3d10501e221p-8")),
     ((1, 9, 1j, (1, 0, 4), 20, 3), (108, 108, 0, 0, "0x1.8580e974896b2p-10")),
-    ((1, 11, 0.1 + 6j, (0, 1, 5), 12, 2), (47, 25, 0, 22, "0x1.9ab7843c8f3f6p-7")),
+    ((1, 11, 0.1 + 6j, (0, 1, 5), 12, 2), (84, 84, 0, 0, "0x1.d3b3d8483622fp-8")),
     ((2, 7, OMEGA, (0, 1, 0, 0, 2), 12, 42), (84, 84, 0, 0, "0x1.2d4ee7c994785p-7")),
     ((2, 11, OMEGA, (0, 1, 0, 0, 5), 4, 5), (60, 60, 0, 0, "0x1.13ab4be44e28cp-7")),
 ]
@@ -420,7 +407,6 @@ def pinned_probe(config):
     return summary
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("config, expected", PINNED_SUMMARIES)
 def test_probe_summaries_pinned(config, expected):
     summary = pinned_probe(config)
@@ -450,9 +436,9 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
     summed, tangents = [], {}  # points of each lattice sum; call index -> tangent rows
     section_terms, derivative_sums = theta._section_terms, theta._derivative_sums
 
-    def counted_terms(emb, points, refuse=True):
+    def counted_terms(emb, points):
         summed.append(np.reshape(points, (-1, genus)))
-        return section_terms(emb, points, refuse)
+        return section_terms(emb, points)
 
     def counted_derivatives(emb, centres, terms, tangent):
         rows = np.reshape(np.asarray(tangent, dtype=complex), (-1, genus))
@@ -486,7 +472,7 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
 
 def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
     # the partner points are the only ones evaluated without a tangent; a
-    # refused point comes back as zero rows
+    # point whose sections vanish comes back as zero rows
     import scrolls.theta as theta
 
     emb, group = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
@@ -527,11 +513,10 @@ def test_smoothness_probe_zero_derivative_rows_are_inconclusive(
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("config", [config for config, _ in PINNED_SUMMARIES])
 def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, config):
     # one base per block and one fibre per lattice sum, as the probe once
-    # evaluated them; the m = 11 row has bases whose points are refused
+    # evaluated them
     import scrolls.theta as theta
 
     default = pinned_probe(config)
@@ -556,6 +541,8 @@ def test_random_bases_drawn_in_one_call_match_one_at_a_time(make):
 
 
 def test_basis_eval_derivative_is_scaled_theta_derivative():
+    from scrolls.theta import _embed
+
     rng = np.random.default_rng(13)
     curve = elliptic_embedding(7, 0.3 + 0.9j)
     cases = [(curve, complex(x + y * curve.period), 1.0) for x, y in rng.random((4, 2))]
@@ -567,9 +554,32 @@ def test_basis_eval_derivative_is_scaled_theta_derivative():
         cases.append((surface, z, raw / np.linalg.norm(raw)))
     for emb, z, tangent in cases:
         point = theta_basis_eval(emb, z, tangent)
-        norm = float(np.linalg.norm(theta_values(emb, z)))
-        assert np.array_equal(point.derivative, theta_derivatives(emb, z, tangent) / norm)
-        assert np.array_equal(point.coords, normalize(theta_values(emb, z)))
+        coords, derivatives = _embed(emb, [z], tangent)
+        assert np.array_equal(point.coords, coords[0])
+        assert np.array_equal(point.derivative, derivatives[0])
+        # the scaled sums divided by their norm, against the raw ones
+        values = theta_values(emb, z)
+        norm = np.linalg.norm(values)
+        assert np.linalg.norm(point.coords - values / norm) < 1e-14
+        derivative = theta_derivatives(emb, z, tangent) / norm
+        assert np.linalg.norm(point.derivative - derivative) < 1e-14 * np.linalg.norm(derivative)
+
+
+def test_points_whose_sections_vanish_are_refused(monkeypatch):
+    import scrolls.theta as theta
+
+    section_terms = theta._section_terms
+
+    def vanishing(emb, points):
+        centres, terms, peaks = section_terms(emb, points)
+        return centres, np.zeros_like(terms), peaks
+
+    monkeypatch.setattr(theta, "_section_terms", vanishing)
+    emb = elliptic_embedding(5, TAU)
+    with pytest.raises(EvaluationError, match="all sections vanish"):
+        theta_basis_eval(emb, 0.3 + 0.4j)
+    with pytest.raises(EvaluationError, match="zero vectors"):
+        very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j], with_derivatives=False)
 
 
 # ------------------------------------ one lattice sum, box and stacked ranks
@@ -638,7 +648,22 @@ def test_genus2_far_point_is_refused_in_little_memory():
     assert peak < 50 * 2**20
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_genus2_far_point_embeds_in_little_memory():
+    import tracemalloc
+
+    emb = surface_embedding(7, OMEGA)
+    far = np.array([0.0, 3000j])
+    tracemalloc.start()
+    try:
+        point = theta_basis_eval(emb, far, np.array([0.6 + 0.1j, -0.3 + 0.73j]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert np.linalg.norm(point.coords) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.isfinite(point.derivative))
+
+
 @pytest.mark.parametrize("config", [PINNED_SUMMARIES[1][0], PINNED_SUMMARIES[3][0],
                                     PINNED_SUMMARIES[4][0]])
 def test_probe_results_do_not_depend_on_call_history(config):
@@ -686,8 +711,10 @@ def test_span_rank_refuses_a_stack():
 ORACLE_DPS = 30
 
 
-def mp_theta_genus1(m, tau, z, direction):
-    """Direct 30-digit sums of s_j(z) and their derivatives along direction."""
+def mp_theta_genus1(m, tau, z, direction, projective=False):
+    """Direct 30-digit sums of s_j(z) and their derivatives along direction;
+    with `projective`, both divided by the norm of the values first, so that
+    sums beyond the float range still convert."""
     with mpmath.workdps(ORACLE_DPS):
         tau, z, direction = mpmath.mpc(tau), mpmath.mpc(z), mpmath.mpc(direction)
         center = round(-m * float(z.imag) / (m * float(tau.imag)))
@@ -699,9 +726,11 @@ def mp_theta_genus1(m, tau, z, direction):
                 term = mpmath.exp(1j * mpmath.pi * m * tau * u * u + 2j * mpmath.pi * u * m * z)
                 value += term
                 derivative += 2j * mpmath.pi * m * direction * u * term
-            values.append(complex(value))
-            derivatives.append(complex(derivative))
-    return np.array(values), np.array(derivatives)
+            values.append(value)
+            derivatives.append(derivative)
+        norm = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in values)) if projective else 1
+        return (np.array([complex(v / norm) for v in values]),
+                np.array([complex(d / norm) for d in derivatives]))
 
 
 def mp_theta_genus2(d, omega, z, tangent):
@@ -754,3 +783,34 @@ def test_genus2_theta_matches_mpmath(z):
     values, derivatives = mp_theta_genus2(7, OMEGA, z, tangent)
     assert relative_error(theta_values(emb, z), values) < 1e-12
     assert relative_error(theta_derivatives(emb, z, tangent), derivatives) < 1e-12
+
+
+@pytest.mark.parametrize("m, tau, z", [
+    (11, 0.1 + 6j, 0.3 + 1.4 * (0.1 + 6j)),  # terms near 1e176: the unscaled norm overflows
+    (5, 1j, 0.31 + 60.47j),                  # terms near e^57438, beyond the float range
+], ids=["norm-overflow", "beyond-float-range"])
+def test_far_point_projective_image_matches_mpmath(m, tau, z):
+    point = theta_basis_eval(elliptic_embedding(m, tau), z, 1.0)
+    values, derivatives = mp_theta_genus1(m, tau, z, 1.0, projective=True)
+    # the scaling is a positive factor, so no phase is left to fit
+    assert np.linalg.norm(point.coords - values) < 1e-12
+    assert np.linalg.norm(point.derivative - derivatives) < 1e-12 * np.linalg.norm(derivatives)
+
+
+def test_m11_points_beyond_the_norm_range_match_mpmath():
+    # the fibre points of the m = 11 pin whose largest term passes 1e154
+    # (e^354.9), where an unscaled norm overflows: their bases were
+    # inconclusive before the terms were scaled
+    from scrolls.theta import _embed, _grid_points, _point_from_coords, _section_terms
+
+    (genus, m, tau, torsion, samples, seed), _ = PINNED_SUMMARIES[3]
+    emb, group = probe_setup(genus, m, tau, torsion)
+    bases = _point_from_coords(emb, np.random.default_rng(seed).random((samples, 2))) + _grid_points(emb)
+    points = [base + rho for base in bases for rho in group]
+    points = [z for z, peak in zip(points, _section_terms(emb, points)[2]) if peak > 354.9]
+    assert len(points) >= 10
+    coords, derivatives = _embed(emb, points, 1.0)
+    for z, row, derivative in zip(points, coords, derivatives):
+        values, oracle_derivatives = mp_theta_genus1(m, tau, z, 1.0, projective=True)
+        assert np.linalg.norm(row - values) < 1e-12
+        assert np.linalg.norm(derivative - oracle_derivatives) < 1e-12 * np.linalg.norm(oracle_derivatives)
