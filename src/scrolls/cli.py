@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--cn", type=int, required=True)
     p.add_argument("--cross-check", action="store_true",
-                   help="also assert the closed-form identities for (n, k, l)")
+                   help="only add a warning line: every report asserts the closed forms")
     p.add_argument("--expect-smooth", action="store_true",
                    help="exit 1 if double points are forced")
     add_output_flags(p)

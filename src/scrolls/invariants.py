@@ -96,24 +96,23 @@ class ScrollReport:
     flags: tuple = field(default_factory=tuple)
 
 
-def _hyperplane_class(shape: RingShape) -> TruncPoly:
-    # h vanishes identically when h_cap = 0 (k = 1).
-    terms = [(1, 0, 1)]
-    if shape.h_cap >= 1:
-        terms.append((0, 1, 1))
-    return make_poly(shape, terms)
+def _one_plus(shape: RingShape, c_coeff: int) -> TruncPoly:
+    """The unit 1 + c_coeff*c + h; h vanishes identically when h_cap = 0 (k = 1)."""
+    return make_poly(shape, [(0, 0, 1), (1, 0, c_coeff)] + ([(0, 1, 1)] if shape.h_cap else []))
 
 
 def hyperplane_power_coefficient(n: int, k: int) -> int:
     """Coefficient of c^n h^(k-1) in (c+h)^(n+k-1), which equals C(n+k-1, k-1).
 
-    Computed through the ring engine and by the binomial closed form; both
-    routes must agree exactly.
+    The engine reads it from the unit (1+c+h)^(n+k-1), in whose degree n+k-1
+    only (c+h)^(n+k-1) contributes, with one pass of the power recurrence
+    and no ring products.  It is checked against the binomial closed form;
+    both routes must agree exactly.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     shape = RingShape(n, k - 1)
-    engine = coefficient(power_signed(_hyperplane_class(shape), n + k - 1), n, k - 1)
+    engine = coefficient(power_signed(_one_plus(shape, 1), n + k - 1), n, k - 1)
     closed = binomial(n + k - 1, k - 1)
     if engine != closed:
         raise EngineMismatchError(
@@ -135,12 +134,8 @@ def top_chern_normal(n: int, k: int, l: int) -> int:
     if l < n + k:
         raise ValueError(f"need l >= n + k = {n + k}, got l={l}")
     shape = RingShape(n, k - 1)
-    ambient = make_poly(
-        shape, [(0, 0, 1), (1, 0, 1)] + ([(0, 1, 1)] if k > 1 else [])
-    )
-    one_plus_h = make_poly(shape, [(0, 0, 1)] + ([(0, 1, 1)] if k > 1 else []))
     engine = product_coefficient(
-        power_signed(ambient, l), power_signed(one_plus_h, -k), n, k - 1
+        power_signed(_one_plus(shape, 1), l), power_signed(_one_plus(shape, 0), -k), n, k - 1
     )
     closed = binomial(l, n) * binomial(l - n - k, k - 1)
     if engine != closed:

@@ -18,9 +18,9 @@ a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
 
 Both are one lattice sum in genus g: s_j(z) = theta[c_j, 0](w, Omega) with
 w = s*z, c_j = (0, ..., 0, j/d) and D = diag(1, ..., 1, d).  Genus 1 is g = 1
-with s = m, Omega = m*tau and D = (m); genus 2 has s = 1.  A torus point is a
-Python complex (genus 1) or a complex128 array (genus 2), so plain + and -
-serve both genera.
+with s = m, Omega = m*tau and D = (m); genus 2 has s = 1.  A public torus
+point is a Python complex (genus 1) or a complex128 array (genus 2); inside
+the module P points are the rows of a (P, g) complex array.
 
 The sum at w runs over the (2R + 2)^g lattice vectors from k - R - 1 to
 k + R, where k = ceil(-y) and y = (Im Omega)^-1 Im w, so every dropped term
@@ -44,11 +44,12 @@ have full rank (the immersion condition).  Each torus point is evaluated once
 and shared by all three probes.  For a block of base points, all fibre points
 (with their bases' tangents) go through one pass of lattice sums of at most
 _TERMS terms each, their partners through another, and each probe kind's
-ranks are decided by one stacked SVD; a point whose sections all vanish
-gets zero rows, which leave only its own base undecided.  Ranks are
-decided by singular value ratios with a hard threshold and a gray zone that
-yields an "inconclusive" verdict rather than overclaiming.  Everything is
-deterministic for a fixed seed.
+ranks are decided by one stacked SVD, by singular value ratios with a hard
+threshold and a gray zone that yields an "inconclusive" verdict rather than
+overclaiming.  A point whose sections all vanish gets zero rows, which leave
+only its own base undecided.  The verdicts of a stack are one array
+comparison, tallied by bincount, and a mask of the bases still decided
+narrows the next probe kind.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ _MAX_RADIUS = 10_000
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
 _BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
 _TERMS = 4096        # terms (points x sections x box) one lattice-sum call may hold
+_VERDICTS = ("pass", "fail", "inconclusive")
 
 TorusPoint = Union[complex, np.ndarray]
 
@@ -205,6 +207,11 @@ def _radius_for(scale: float) -> int:
     return max(radius, 1)
 
 
+def _rows(emb: ThetaEmbedding, points) -> np.ndarray:
+    """Torus points, or tangent directions, as the rows of a (P, genus) complex array."""
+    return np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+
+
 def _section_terms(emb: ThetaEmbedding, points):
     """Box centres k, shape (P, g), terms, shape (P, sections, box), and
     peaks M, shape (P,), of the lattice sums at P torus points.  Each point's
@@ -218,7 +225,7 @@ def _section_terms(emb: ThetaEmbedding, points):
     that constant alone, so its rounding, large far from the fundamental
     domain, scales all the point's terms alike and moves no projective point.
     """
-    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    z = _rows(emb, points)
     centres = np.ceil(-z.imag @ emb._inv_imag)
     shift = emb._scale * (centres @ emb._period + z)
     common = 1j * math.pi * (centres * (shift + emb._scale * z)).sum(axis=1)
@@ -236,7 +243,7 @@ def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray
         if emb.genus != 1:
             raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
         tangent = 1.0
-    direction = np.reshape(np.asarray(tangent, dtype=complex), (-1, emb.genus))
+    direction = _rows(emb, tangent)
     slopes = (direction @ emb._offsets).reshape(-1, *emb._quad.shape)
     slopes = slopes + (centres * direction).sum(axis=1)[:, None, None]
     return 2j * math.pi * emb._scale * (slopes * terms).sum(axis=2)
@@ -247,9 +254,9 @@ def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> t
     one per point), their derivative rows divided by the same norms (else
     None).  A point whose sections all vanish gets zero rows, which leave its
     rank probes undecided.  Each lattice sum covers at most _TERMS terms."""
-    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    z = _rows(emb, points)
     if tangent is not None:
-        tangent = np.broadcast_to(np.reshape(np.asarray(tangent, dtype=complex), (-1, emb.genus)), z.shape)
+        tangent = np.broadcast_to(_rows(emb, tangent), z.shape)
     step = max(1, _TERMS // emb._quad.size)
     coords, derivatives = [], []
     for start in range(0, max(len(z), 1), step):  # one call for no points
@@ -325,20 +332,22 @@ def projective_residual(u: np.ndarray, v: np.ndarray) -> float:
 def _lattice_coords(emb: ThetaEmbedding, points) -> np.ndarray:
     """Real coordinates (x, y) of each point, z = (D/s)*x + P*y: one row of
     length 2*genus per point."""
-    z = np.reshape(np.asarray(points, dtype=complex), (-1, emb.genus))
+    z = _rows(emb, points)
     y = z.imag @ emb._inv_imag
     return np.concatenate([(z.real - y @ emb._period.real) / emb._steps, y], axis=1)
 
 
-def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray):
-    """The torus point with lattice coordinates `coords` (length 2*genus), or
-    the list of points of the rows of a 2-d `coords`, each with the bits of
-    P @ y for its own row."""
-    g, coords = emb.genus, np.asarray(coords)
-    z = emb._steps * coords[..., :g] + np.einsum("ij,...j->...i", emb._period, coords[..., g:])
-    if coords.ndim == 2:
-        return z[:, 0].tolist() if g == 1 else list(z)
-    return complex(z[0]) if g == 1 else z
+def _point_from_coords(emb: ThetaEmbedding, coords: np.ndarray) -> np.ndarray:
+    """The points z = (D/s)*x + P*y with lattice coordinates (x, y), the last
+    axis of `coords` (length 2*genus), each with the bits of P @ y for its own
+    row: shape (..., genus)."""
+    g = emb.genus
+    return emb._steps * coords[..., :g] + np.einsum("ij,...j->...i", emb._period, coords[..., g:])
+
+
+def _torus_point(emb: ThetaEmbedding, row: np.ndarray) -> TorusPoint:
+    """The public form of one point row: a Python complex in genus 1."""
+    return complex(row[0]) if emb.genus == 1 else row
 
 
 def _distances(emb: ThetaEmbedding, points) -> np.ndarray:
@@ -353,7 +362,7 @@ def lattice_distance(emb: ThetaEmbedding, z: TorusPoint) -> float:
 
 
 def reduce_mod_lattice(emb: ThetaEmbedding, z: TorusPoint) -> TorusPoint:
-    return _point_from_coords(emb, np.mod(_lattice_coords(emb, z)[0], 1.0))
+    return _torus_point(emb, _point_from_coords(emb, np.mod(_lattice_coords(emb, z)[0], 1.0)))
 
 
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
@@ -372,13 +381,12 @@ def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     if len(components) != 2 * emb.genus:
         raise ValueError(f"genus-{emb.genus} torsion needs {2 * emb.genus} integer components")
     try:
-        point = _point_from_coords(emb, np.array(components, dtype=float)) / order
+        # divide the public form: a genus-1 complex and a numpy row round differently
+        point = _torus_point(emb, _point_from_coords(emb, np.array(components, dtype=float))) / order
     except OverflowError:
         raise ValueError("torsion order exceeds the floating-point range") from None
     g = math.gcd(*components, order)
-    return TorsionPoint(
-        point=point, requested_order=order, actual_order=order // g, exact_order=g == 1
-    )
+    return TorsionPoint(point=point, requested_order=order, actual_order=order // g, exact_order=g == 1)
 
 
 def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
@@ -391,55 +399,52 @@ def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
 
 
 def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list:
-    """The cyclic subgroup {0, g, 2g, ...} of the given order, as torus points."""
+    """The cyclic subgroup {0, g, 2g, ...} of the given order, each element the one before plus g."""
     if order < 1:
         raise ValueError("group order must be positive")
-    points = [_point_from_coords(emb, np.zeros(2 * emb.genus))]
-    for _ in range(1, order):
-        points.append(points[-1] + generator)
-    return points
+    steps = np.zeros((order, emb.genus), dtype=complex)
+    steps[1:] = _rows(emb, generator)
+    return [_torus_point(emb, row) for row in np.cumsum(steps, axis=0)]
 
 
-def _check_group(emb: ThetaEmbedding, group: Sequence[TorusPoint], tol: float = 1e-12) -> None:
-    for p in group:
-        sums = _distances(emb, [p + q - r for q in group for r in group])
-        if sums.reshape(len(group), -1).min(axis=1).max() > tol:
-            raise ValueError("point set is not closed under addition modulo the lattice")
+def _check_group(emb: ThetaEmbedding, group, tol: float = 1e-12) -> None:
+    """Refuse a point set not closed modulo the lattice: all k^3 p + q - r at once."""
+    rows = _rows(emb, group)
+    sums = rows[:, None, None] + rows[None, :, None] - rows[None, None, :]  # (p, q, r, genus)
+    if _distances(emb, sums.reshape(-1, emb.genus)).reshape(sums.shape[:3]).min(axis=2).max() > tol:
+        raise ValueError("point set is not closed under addition modulo the lattice")
 
 
 # -------------------------------------------------------------------- probes
 
-def _rank(stack, tol: float) -> list:
-    """Singular value ratios, rank and margin of each matrix of a stack
-    (B, rows, n), its rows normalized first: the one rank decision behind
-    span_rank and every cluster probe.  A member with a zero row cannot be
-    decided and gives None; one SVD call covers all the others.  A tol
-    outside (0, 1), nan included, cannot tell a rank drop from full rank, so
-    it is refused."""
+def _rank(stack, tol: float) -> tuple:
+    """The one rank decision behind span_rank and every cluster probe, for a
+    stack (B, rows, n) whose rows are normalized first: a mask of the members
+    without a zero row, and their singular value ratios, ranks and margins
+    from one SVD call.  A tol outside (0, 1), nan included, cannot tell a
+    rank drop from full rank, so it is refused."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     matrices = np.asarray(stack, dtype=complex)
     if matrices.ndim != 3 or matrices.shape[1] == 0:
         raise ValueError("need a nonempty 2-d stack of vectors")
     norms = np.linalg.norm(matrices, axis=-1)
-    usable = np.all(norms != 0.0, axis=-1)
-    decided = [None] * len(matrices)
-    if usable.any():
-        singular = np.linalg.svd(matrices[usable] / norms[usable][..., None], compute_uv=False)
-        ratios = singular / singular[:, :1]
-        ranks = np.count_nonzero(ratios >= tol, axis=1)
-        margins = np.where(ranks > 0, ratios[np.arange(len(ratios)), ranks - 1], 0.0)
-        for member, *outcome in zip(np.flatnonzero(usable), ratios, ranks.tolist(), margins.tolist()):
-            decided[member] = tuple(outcome)
-    return decided
+    decided = np.all(norms != 0.0, axis=-1)
+    singular = np.ones((0, min(matrices.shape[1:])))
+    if decided.any():
+        singular = np.linalg.svd(matrices[decided] / norms[decided][..., None], compute_uv=False)
+    ratios = singular / singular[:, :1]
+    ranks = np.count_nonzero(ratios >= tol, axis=1)
+    margins = np.where(ranks > 0, ratios[np.arange(len(ratios)), ranks - 1], 0.0)
+    return decided, ratios, ranks, margins
 
 
-def _rank_one(vectors, tol: float, error: type):
-    """_rank of a single matrix; a zero row raises `error`."""
-    decided = _rank([vectors], tol)[0]
-    if decided is None:
+def _rank_one(vectors, tol: float, error: type) -> list:
+    """_rank of a single matrix, as arrays of one member; a zero row raises `error`."""
+    decided, *outcome = _rank([vectors], tol)
+    if not decided[0]:
         raise error("zero vectors are not allowed in rank probes")
-    return decided
+    return outcome
 
 
 def span_rank(vectors, tol: float = HARD_TOL):
@@ -448,18 +453,15 @@ def span_rank(vectors, tol: float = HARD_TOL):
     Rows are normalized to unit norm, then rank = number of singular values
     with sigma_i/sigma_1 >= tol and margin = (smallest counted)/sigma_1.
     """
-    _, rank, margin = _rank_one(vectors, tol, ValueError)
-    return rank, margin
+    _, ranks, margins = _rank_one(vectors, tol, ValueError)
+    return int(ranks[0]), float(margins[0])
 
 
-def _verdict(ratios, observed: int, expected_rank: int) -> str:
-    """Pass, fail or inconclusive, from the decisive ratio at expected_rank."""
-    decisive = float(ratios[expected_rank - 1]) if expected_rank <= len(ratios) else 0.0
-    if GRAY_LOW <= decisive <= GRAY_HIGH:
-        return "inconclusive"
-    if decisive > GRAY_HIGH and observed == expected_rank:
-        return "pass"
-    return "fail"
+def _verdicts(ratios, ranks, expected_rank: int) -> np.ndarray:
+    """Index into _VERDICTS of each member, from its ratio at expected_rank, a probe's row count."""
+    decisive = ratios[:, expected_rank - 1]
+    passed = (decisive > GRAY_HIGH) & (ranks == expected_rank)
+    return np.where((GRAY_LOW <= decisive) & (decisive <= GRAY_HIGH), 2, np.where(passed, 0, 1))
 
 
 def _cluster_probe(emb: ThetaEmbedding, points, tangent, expected_rank: int, tol: float) -> ClusterProbe:
@@ -467,14 +469,14 @@ def _cluster_probe(emb: ThetaEmbedding, points, tangent, expected_rank: int, tol
     their derivative rows, all from one _embed call."""
     coords, derivatives = _embed(emb, points, tangent)
     rows = coords if derivatives is None else np.concatenate([coords, derivatives])
-    ratios, observed, margin = _rank_one(rows, tol, EvaluationError)
+    ratios, ranks, margins = _rank_one(rows, tol, EvaluationError)
     derivatives = [None] * len(coords) if derivatives is None else derivatives
     return ClusterProbe(
         points=tuple(map(EmbeddedPoint, points, coords, derivatives)),
         expected_rank=expected_rank,
-        observed_rank=observed,
-        margin=margin,
-        verdict=_verdict(ratios, observed, expected_rank),
+        observed_rank=int(ranks[0]),
+        margin=float(margins[0]),
+        verdict=_VERDICTS[_verdicts(ratios, ranks, expected_rank)[0]],
     )
 
 
@@ -515,22 +517,21 @@ def very_ampleness_cluster_probe(
     return _cluster_probe(emb, points, tangent, length, tol)
 
 
-def _pair_offset(emb: ThetaEmbedding, group: Sequence[TorusPoint]) -> TorusPoint:
-    """Deterministic offset whose difference from every group element stays
-    away from the lattice, used to pair grid points into two-fibre clusters."""
-    for t in range(64):
-        coords = [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus
-        offset = _point_from_coords(emb, np.array(coords))
-        if _distances(emb, [offset - r for r in group]).min() > 1e-2:
-            return offset
-    raise ConfigurationError("could not find a pairing offset away from the subgroup")
+def _pair_offset(emb: ThetaEmbedding, shifts: np.ndarray) -> np.ndarray:
+    """Deterministic offset whose difference from every group element (the
+    rows of `shifts`) stays away from the lattice, used to pair grid points
+    into two-fibre clusters: the first of 64 candidates that does."""
+    t = np.arange(64)
+    coords = np.stack([(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus, axis=1)
+    offsets = _point_from_coords(emb, coords)
+    gaps = _distances(emb, (offsets[:, None] - shifts).reshape(-1, emb.genus))
+    clear = gaps.reshape(len(t), -1).min(axis=1) > 1e-2
+    if not clear.any():
+        raise ConfigurationError("could not find a pairing offset away from the subgroup")
+    return offsets[clear.argmax()]
 
 
-def _random_point(emb: ThetaEmbedding, rng: np.random.Generator) -> TorusPoint:
-    return _point_from_coords(emb, rng.random(2 * emb.genus))
-
-
-def _grid_points(emb: ThetaEmbedding) -> list:
+def _grid_points(emb: ThetaEmbedding) -> np.ndarray:
     offsets = [(i + 0.5) / _GRID_SIDE for i in range(_GRID_SIDE)]
     coords = [[x, y, y, x][: 2 * emb.genus] for x in offsets for y in offsets]
     return _point_from_coords(emb, np.array(coords))
@@ -556,64 +557,53 @@ def scroll_smoothness_probe(
         raise ValueError("samples must be non-negative")
     k, g = len(group), emb.genus
     _check_group_order(emb, k)
-    _check_group(emb, group)
+    shifts = _rows(emb, group)
+    _check_group(emb, shifts)
     rng = np.random.default_rng(seed)
-    grid = _grid_points(emb)
-    randoms = _point_from_coords(emb, rng.random((samples, 2 * g)))
-    offset = _pair_offset(emb, group)
-    shifts = np.reshape(np.asarray(group, dtype=complex), (1, k, g))
+    bases = np.concatenate([_point_from_coords(emb, rng.random((samples, 2 * g))), _grid_points(emb)])
+    offset = _pair_offset(emb, shifts)
 
     def translates(points, tangent=None):  # rows of the k translates of each point
-        coords, derivatives = _embed(emb, (np.reshape(points, (-1, 1, g)) + shifts).reshape(-1, g), tangent)
+        coords, derivatives = _embed(emb, (points[:, None] + shifts).reshape(-1, g), tangent)
         return coords.reshape(-1, k, emb.section_count), derivatives
 
-    verdicts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    margins = []
-    bases = randoms + grid
+    counts = np.zeros(3, dtype=int)  # indexed as _VERDICTS
+    min_margin = np.inf
     for start in range(0, len(bases), _BLOCK):
         block = bases[start:start + _BLOCK]
-        partners, tangents = [], []
-        for index, base in enumerate(block, start):
-            partners.append(_draw_partner(emb, group, base, rng, offset) if index < samples else base + offset)
+        partners, tangents = block + offset, np.ones_like(block)  # grid bases keep the offset
+        for index, base in enumerate(block):
+            if start + index < samples:
+                partners[index] = _draw_partner(emb, shifts, base, rng, offset)
             if g == 2:
                 raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-                tangents.append(raw / np.linalg.norm(raw))
-        fibres, derivatives = translates(np.array(block), np.repeat(tangents, k, axis=0) if g == 2 else 1.0)
+                tangents[index] = raw / np.linalg.norm(raw)
+        fibres, derivatives = translates(block, np.repeat(tangents, k, axis=0))
         # a point whose sections vanish has zero rows; a fibre with one counts
         # one inconclusive and gets no later probe, nor are its partners summed
         live = fibres.any(axis=2).all(axis=1)
         pairs = np.zeros_like(fibres)
-        pairs[live] = translates(np.array(partners)[live])[0]
+        pairs[live] = translates(partners[live])[0]
         stacks = (fibres, np.concatenate([fibres, pairs], axis=1),
                   np.concatenate([fibres, derivatives.reshape(fibres.shape)], axis=1))
-        members = range(len(block))
+        alive = np.ones(len(block), dtype=bool)  # bases decided by every probe kind so far
         for stack, expected in zip(stacks, (k, 2 * k, 2 * k)):
-            outcomes = _rank(stack[list(members)], tol)
-            for outcome in outcomes:
-                if outcome is None:
-                    verdicts["inconclusive"] += 1
-                else:
-                    ratios, observed, margin = outcome
-                    verdicts[_verdict(ratios, observed, expected)] += 1
-                    margins.append(margin)
-            members = [m for m, outcome in zip(members, outcomes) if outcome is not None]
+            decided, ratios, ranks, margins = _rank(stack[alive], tol)
+            counts += np.bincount(_verdicts(ratios, ranks, expected), minlength=3)
+            counts[2] += np.count_nonzero(~decided)
+            min_margin = min(min_margin, margins.min(initial=np.inf))
+            alive[alive] = decided
+    passes, fails, inconclusives = counts.tolist()  # Python ints, for JSON
     return ProbeSummary(
-        genus=emb.genus,
-        section_count=emb.section_count,
-        group_order=k,
-        samples=samples,
-        seed=seed,
-        probes=sum(verdicts.values()),
-        passes=verdicts["pass"],
-        fails=verdicts["fail"],
-        inconclusives=verdicts["inconclusive"],
-        min_margin=float(min(margins)) if margins else float("nan"),
+        genus=emb.genus, section_count=emb.section_count, group_order=k, samples=samples, seed=seed,
+        probes=passes + fails + inconclusives, passes=passes, fails=fails, inconclusives=inconclusives,
+        min_margin=float(min_margin) if min_margin < np.inf else float("nan"),
     )
 
 
-def _draw_partner(emb, group, base, rng, offset, attempts: int = 32) -> TorusPoint:
+def _draw_partner(emb, shifts, base, rng, offset, attempts: int = 32) -> np.ndarray:
     for _ in range(attempts):
-        candidate = _random_point(emb, rng)
-        if _distances(emb, [candidate - base - r for r in group]).min() > 1e-3:
+        candidate = _point_from_coords(emb, rng.random(2 * emb.genus))
+        if _distances(emb, candidate - base - shifts).min() > 1e-3:
             return candidate
     return base + offset

@@ -436,6 +436,33 @@ def test_probe_surface_gray_zone_is_exit_two(capsys):
     assert env["payload"]["inconclusives"] > 0
 
 
+# argv -> (exit code, probes, passes, fails, inconclusives, float.hex(min_margin)),
+# recorded before the probe path became array code.  PINNED_SUMMARIES in
+# test_theta.py compare min_margin to a relative 1e-9, which lets the last
+# bits move; these pins do not.  A change of the last bits anywhere between
+# the torsion point and the SVD shows here: dividing the genus-1 torsion
+# point as a numpy array rather than as a Python complex moves the m = 11
+# min_margin from ...cfc3p-8 to ...cfdbp-8.  The bits are those of one BLAS
+# build (numpy 2.4 with OpenBLAS 0.3.31 on x86-64), since SVDs of another
+# build may differ in the last bits; the counts hold on any build.
+PROBE_BITS = [
+    (["probe-elliptic", "--m", "11", "--tau", "0.1,6.0", "--torsion", "0,1,5",
+      "--samples", "30", "--seed", "2"], (0, 138, 138, 0, 0, "0x1.8ed3e903ccfc3p-8")),
+    (["probe-surface", "--d", "7", "--order", "2", "--samples", "49", "--seed", "1"],
+     (0, 195, 195, 0, 0, "0x1.b823a0ddaaa93p-7")),
+    (["probe-elliptic", "--m", "9", "--torsion", "1,0,4", "--samples", "65", "--seed", "3"],
+     (0, 243, 243, 0, 0, "0x1.8580e974896c8p-10")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PROBE_BITS, ids=["m11", "d7", "m9"])
+def test_probe_payload_bits_pinned(capsys, argv, expected):
+    code, env = run_cli_json(capsys, argv)
+    payload = env["payload"]
+    counts = tuple(payload[key] for key in ("probes", "passes", "fails", "inconclusives"))
+    assert (code, *counts, float.hex(payload["min_margin"])) == expected
+
+
 # -------------------------------------------------------------------- errors
 
 def test_missing_required_flag_exits_three(capsys):

@@ -448,8 +448,10 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
     monkeypatch.setattr(theta, "_section_terms", counted_terms)
     monkeypatch.setattr(theta, "_derivative_sums", counted_derivatives)
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=1)
-    bases = theta._point_from_coords(emb, np.random.default_rng(1).random((samples, 2 * genus)))
-    bases += theta._grid_points(emb)
+    bases = np.concatenate([
+        theta._point_from_coords(emb, np.random.default_rng(1).random((samples, 2 * genus))),
+        theta._grid_points(emb),
+    ])
     assert summary.probes == summary.passes == 3 * len(bases)
     # the fibre points of all bases with their tangents, then all partners:
     # each point in one lattice sum, each sum within the term budget
@@ -529,14 +531,15 @@ def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, conf
 @pytest.mark.parametrize("make", [lambda: elliptic_embedding(7, 0.3 + 0.9j),
                                   lambda: surface_embedding(7, OMEGA)])
 def test_random_bases_drawn_in_one_call_match_one_at_a_time(make):
-    from scrolls.theta import _point_from_coords, _random_point
+    from scrolls.theta import _point_from_coords
 
     emb = make()
     together = _point_from_coords(emb, np.random.default_rng(5).random((40, 2 * emb.genus)))
+    assert together.shape == (40, emb.genus)
     rng = np.random.default_rng(5)
     for point in together:
-        alone = _random_point(emb, rng)
-        assert type(point) is type(alone)
+        alone = _point_from_coords(emb, rng.random(2 * emb.genus))
+        assert alone.shape == (emb.genus,)
         assert np.array_equal(point, alone)
 
 
@@ -681,12 +684,14 @@ def test_stacked_rank_matches_one_matrix_at_a_time():
     rng = np.random.default_rng(23)
     stack = rng.normal(size=(6, 4, 9)) + 1j * rng.normal(size=(6, 4, 9))
     stack[2, 3] = 2.5 * stack[2, 0] - 1j * stack[2, 1]  # rank 3 of 4
-    stacked = _rank(stack, HARD_TOL)
-    assert [rank for _, rank, _ in stacked] == [4, 4, 3, 4, 4, 4]
-    for matrix, (ratios, rank, margin) in zip(stack, stacked):
-        alone_ratios, alone_rank, alone_margin = _rank([matrix], HARD_TOL)[0]
-        assert np.array_equal(ratios, alone_ratios)
-        assert (rank, float.hex(margin)) == (alone_rank, float.hex(alone_margin))
+    decided, stacked_ratios, ranks, margins = _rank(stack, HARD_TOL)
+    assert decided.tolist() == [True] * 6
+    assert ranks.tolist() == [4, 4, 3, 4, 4, 4]
+    for matrix, ratios, rank, margin in zip(stack, stacked_ratios, ranks, margins):
+        alone_decided, alone_ratios, alone_ranks, alone_margins = _rank([matrix], HARD_TOL)
+        assert alone_decided.tolist() == [True]
+        assert np.array_equal(ratios, alone_ratios[0])
+        assert (rank, float.hex(margin)) == (alone_ranks[0], float.hex(alone_margins[0]))
         # the one-matrix arithmetic written out
         singular = np.linalg.svd(matrix / np.linalg.norm(matrix, axis=1)[:, None], compute_uv=False)
         assert np.array_equal(ratios, singular / singular[0])
@@ -694,9 +699,55 @@ def test_stacked_rank_matches_one_matrix_at_a_time():
     # a zero row leaves its own member undecided and no other
     stack[4, 1] = 0.0
     with_zero = _rank(stack, HARD_TOL)
-    assert with_zero[4] is None
-    for index in (0, 1, 2, 3, 5):
-        assert np.array_equal(with_zero[index][0], stacked[index][0])
+    assert with_zero[0].tolist() == [True, True, True, True, False, True]
+    others = with_zero[0]
+    assert np.array_equal(with_zero[1], stacked_ratios[others])
+    assert np.array_equal(with_zero[2], ranks[others])
+    assert np.array_equal(with_zero[3], margins[others])
+
+
+def test_stacked_verdicts_match_the_scalar_rule():
+    from scrolls.theta import GRAY_HIGH, GRAY_LOW, _VERDICTS, _verdicts
+
+    def scalar(ratios, rank, expected):  # one member at a time, written out
+        decisive = float(ratios[expected - 1])
+        if GRAY_LOW <= decisive <= GRAY_HIGH:
+            return "inconclusive"
+        return "pass" if decisive > GRAY_HIGH and rank == expected else "fail"
+
+    ratios = np.array([[1.0, 0.5, 1e-3], [1.0, 0.5, 1e-8], [1.0, 0.5, 1e-12],
+                       [1.0, 0.5, GRAY_HIGH], [1.0, 0.5, GRAY_LOW], [1.0, 0.5, np.nan],
+                       [1.0, 1e-9, 0.0]])
+    ranks = np.array([3, 3, 2, 3, 2, 2, 1])
+    for expected in (1, 2, 3):
+        verdicts = [_VERDICTS[v] for v in _verdicts(ratios, ranks, expected)]
+        assert verdicts == [scalar(r, rank, expected) for r, rank in zip(ratios, ranks)]
+    assert _verdicts(ratios[:0], ranks[:0], 2).shape == (0,)
+
+
+@pytest.mark.parametrize("make, order", [(lambda: elliptic_embedding(9, 0.3 + 0.9j), 4),
+                                         (lambda: surface_embedding(11, OMEGA), 5)])
+def test_group_geometry_matches_one_element_at_a_time(make, order):
+    from scrolls.theta import _check_group, _distances, _pair_offset, _point_from_coords
+
+    emb = make()
+    b = (1, 0) if emb.genus == 1 else ((0, 1), (0, 0))
+    generator = torsion_point(emb, *b, order).point
+    group = cyclic_group(emb, generator, order)
+    expected = [0j if emb.genus == 1 else np.zeros(2, dtype=complex)]  # the sums, written out
+    for _ in range(1, order):
+        expected.append(expected[-1] + generator)
+    assert [type(p) for p in group] == [type(p) for p in expected]
+    assert all(np.array_equal(p, q) for p, q in zip(group, expected))
+    _check_group(emb, group)
+    with pytest.raises(ValueError, match="not closed"):
+        _check_group(emb, group[:-1])  # one element short
+    for t in range(64):  # the first candidate offset clear of every element
+        coords = [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus
+        offset = _point_from_coords(emb, np.array(coords))
+        if _distances(emb, [offset - np.reshape(r, emb.genus) for r in group]).min() > 1e-2:
+            break
+    assert np.array_equal(_pair_offset(emb, np.reshape(group, (order, emb.genus))), offset)
 
 
 def test_span_rank_refuses_a_stack():
@@ -805,7 +856,9 @@ def test_m11_points_beyond_the_norm_range_match_mpmath():
 
     (genus, m, tau, torsion, samples, seed), _ = PINNED_SUMMARIES[3]
     emb, group = probe_setup(genus, m, tau, torsion)
-    bases = _point_from_coords(emb, np.random.default_rng(seed).random((samples, 2))) + _grid_points(emb)
+    bases = np.concatenate([
+        _point_from_coords(emb, np.random.default_rng(seed).random((samples, 2))), _grid_points(emb)
+    ])[:, 0]
     points = [base + rho for base in bases for rho in group]
     points = [z for z, peak in zip(points, _section_terms(emb, points)[2]) if peak > 354.9]
     assert len(points) >= 10
