@@ -40,7 +40,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -160,20 +160,7 @@ def _probe(emb, a, b, order, samples, seed, tol):
             f"not the requested {generator.requested_order}; using the generated subgroup"
         )
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed, tol=tol)
-    payload = {
-        "kind": "probe",
-        "genus": summary.genus,
-        "sections": summary.section_count,
-        "group_order": summary.group_order,
-        "samples": summary.samples,
-        "seed": summary.seed,
-        "tol": tol,
-        "probes": summary.probes,
-        "passes": summary.passes,
-        "fails": summary.fails,
-        "inconclusives": summary.inconclusives,
-        "min_margin": summary.min_margin,
-    }
+    payload = {"kind": "probe", **asdict(summary)}
     if summary.fails:
         code = EXIT_FAILED
     elif summary.inconclusives:

@@ -11,23 +11,23 @@ multiplies the whole vector by one common analytic factor, so both act
 trivially on the projective point; torsion translations act by diagonal
 phase times index permutation.
 
-Genus 2.  An abelian surface C^2/(D*Z^2 + Omega*Z^2) with D = diag(1, d) and
-a polarization of type (1, d) is embedded (for d >= 5 and generic Omega) by
+Genus g >= 2.  An abelian variety C^g/(D*Z^g + Omega*Z^g) with a polarization
+of type (1, ..., 1, d), D = diag(1, ..., 1, d), is embedded for generic Omega
+once d > 2^g (Debarre, Hulek, Spandaw, Math. Ann. 300, 1994) by the d sections
+s_j(z) = theta[c_j, 0](z, Omega), c_j = (0, ..., 0, j/d), j = 0..d-1.
 
-    s_j(z) = theta[(0, j/d), 0](z, Omega),   j = 0..d-1.
-
-Both are one lattice sum in genus g: s_j(z) = theta[c_j, 0](w, Omega) with
-w = s*z, c_j = (0, ..., 0, j/d) and D = diag(1, ..., 1, d).  Genus 1 is g = 1
-with s = m, Omega = m*tau and D = (m); genus 2 has s = 1.  A public torus
-point is a Python complex (genus 1) or a complex128 array (genus 2); inside
-the module P points are the rows of a (P, g) complex array.
+Every genus is one lattice sum, s_j(z) = theta[c_j, 0](w, Omega) with w = s*z:
+genus 1 is g = 1 with s = m, Omega = m*tau and D = (m); every other genus has
+s = 1.  A public torus point is a Python complex (genus 1) or a complex128
+array of length g; inside the module P points are the rows of a (P, g) array.
 
 The sum at w runs over the (2R + 2)^g lattice vectors from k - R - 1 to
 k + R, where k = ceil(-y) and y = (Im Omega)^-1 Im w, so every dropped term
 lies more than R from the peak at -y in some coordinate (Deconinck, Heil,
 Bobenko, van Hoeij, Schmies, Math. Comp. 73, 2004).  The radius R comes from
 Im Omega alone, so that each dropped term is below e^-40 (~4e-18) of the peak
-term; it is the same at every point and never set by the caller.  The box's
+term; it is the same at every point and never set by the caller, and so is a
+point's sections*(2R + 2)^g terms, refused above _MAX_POINT_TERMS.  The box's
 offsets from k and their quadratic term are therefore built once per
 embedding, and a point adds only a term linear in the offsets and a constant
 before exponentiating.  One call sums any number of points, and that one
@@ -65,6 +65,7 @@ GRAY_LOW = 1e-10     # decisive ratio below this: clear rank drop
 GRAY_HIGH = 1e-6     # decisive ratio in [GRAY_LOW, GRAY_HIGH]: inconclusive
 _TAIL_LOG = 40.0     # truncation keeps relative tails below exp(-_TAIL_LOG)
 _MAX_RADIUS = 10_000
+_MAX_POINT_TERMS = 1 << 20  # sections x (2R + 2)^g, the terms of one point's sum
 _GRID_SIDE = 4       # deterministic coarse grid appended to random samples
 _BLOCK = 64          # base points whose rank decisions share one SVD per probe kind
 _TERMS = 4096        # terms (points x sections x box) one lattice-sum call may hold
@@ -83,14 +84,13 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaEmbedding:
-    """A theta embedding of an elliptic curve (genus 1) or abelian surface.
+    """A theta embedding of an abelian variety of dimension genus >= 1.
 
-    period is tau (complex, Im > 0) for genus 1 and a symmetric 2x2 complex
-    matrix with positive definite imaginary part for genus 2.  degree is the
-    embedding degree m (genus 1) or the d of a type (1, d) polarization
-    (genus 2); the section count equals it in both cases.  truncation_radius
-    is computed, not set: the lattice-sum cutoff R, from Im(period) alone and
-    the same at every point.
+    period is tau (complex, Im > 0) for genus 1 and a symmetric g x g complex
+    matrix with positive definite imaginary part for genus g >= 2.  degree,
+    the section count, is m (genus 1) or the d of the type (1, ..., 1, d).
+    truncation_radius is computed, not set: the lattice-sum cutoff R, from
+    Im(period) alone and the same at every point.
     """
 
     genus: int
@@ -99,31 +99,31 @@ class ThetaEmbedding:
     truncation_radius: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.genus not in (1, 2):
-            raise ConfigurationError(f"genus must be 1 or 2, got {self.genus}")
+        g = self.genus
+        if g < 1:
+            raise ConfigurationError(f"genus must be at least 1, got {g}")
         if self.degree < 3:
             raise ConfigurationError(f"need at least 3 sections, got degree {self.degree}")
-        # the period is stored as complex (genus 1) or a complex 2x2 array
-        period = complex(self.period) if self.genus == 1 else np.asarray(self.period, dtype=complex)
+        # the period is stored as complex (genus 1) or a complex g x g array
+        period = complex(self.period) if g == 1 else np.asarray(self.period, dtype=complex)
         if not np.all(np.isfinite(period)):
             raise ConfigurationError("period entries must be finite")
         object.__setattr__(self, "period", period)
-        if self.genus == 1:
+        if g == 1:
             if not period.imag > 0:
                 raise ConfigurationError(f"Im(tau) must be positive, got {period}")
             scale = self.degree
-        elif period.shape != (2, 2) or not np.allclose(period, period.T, atol=1e-14):
-            raise ConfigurationError("genus-2 period must be a symmetric 2x2 matrix")
+        elif period.shape != (g, g) or not np.allclose(period, period.T, atol=1e-14):
+            raise ConfigurationError(f"genus-{g} period must be a symmetric {g}x{g} matrix")
         else:
             scale = 1
         # per-embedding constants of the lattice sum, computed once here
-        g = self.genus
         matrix = np.reshape(period, (g, g))
         omega = scale * matrix
         eig_min = float(np.linalg.eigvalsh(omega.imag)[0])
         if eig_min <= 0:
             raise ConfigurationError("Im(period) must be positive definite")
-        radius = _radius_for(eig_min)
+        radius = _radius_for(eig_min, g, self.degree)
         side = np.arange(-radius - 1.0, radius + 1.0)
         box = np.stack(np.meshgrid(*[side] * g, indexing="ij")).reshape(g, 1, -1)
         chars = np.zeros((g, self.degree, 1))
@@ -183,11 +183,14 @@ class ClusterProbe:
 
 @dataclass(frozen=True)
 class ProbeSummary:
+    """The probe report: its fields, in order, are the payload's keys."""
+
     genus: int
-    section_count: int
+    sections: int
     group_order: int
     samples: int
     seed: int
+    tol: float
     probes: int
     passes: int
     fails: int
@@ -197,14 +200,16 @@ class ProbeSummary:
 
 # ---------------------------------------------------------------- lattice sums
 
-def _radius_for(scale: float) -> int:
-    """Smallest integer R >= 1 with pi*scale*R^2 >= _TAIL_LOG."""
-    radius = math.ceil(math.sqrt(_TAIL_LOG / (math.pi * scale)))
+def _radius_for(scale: float, genus: int, sections: int) -> int:
+    """Smallest R >= 1 with pi*scale*R^2 >= _TAIL_LOG; refused past _MAX_RADIUS or _MAX_POINT_TERMS."""
+    reach = math.sqrt(_TAIL_LOG / (math.pi * scale))  # inf for a scale below ~4e-307
+    radius = max(math.ceil(reach), 1) if reach < math.inf else reach
     if radius > _MAX_RADIUS:
-        raise ConfigurationError(
-            f"truncation radius {radius} exceeds {_MAX_RADIUS}; Im(period) too small"
-        )
-    return max(radius, 1)
+        raise ConfigurationError(f"truncation radius {radius} exceeds {_MAX_RADIUS}; Im(period) too small")
+    terms = sections * (2 * radius + 2) ** genus
+    if terms > _MAX_POINT_TERMS:
+        raise ConfigurationError(f"{terms} terms per point exceed {_MAX_POINT_TERMS}; Im(period) too small")
+    return radius
 
 
 def _rows(emb: ThetaEmbedding, points) -> np.ndarray:
@@ -231,7 +236,7 @@ def _section_terms(emb: ThetaEmbedding, points):
     common = 1j * math.pi * (centres * (shift + emb._scale * z)).sum(axis=1)
     linear = (2j * math.pi * (shift @ emb._offsets)).reshape(-1, *emb._quad.shape)
     exponents = emb._quad + linear
-    peaks = exponents.real.max(axis=(1, 2)) + common.real
+    peaks = exponents.real.max(axis=(-2, -1)) + common.real
     exponents += (common - peaks)[:, None, None]
     return centres, np.exp(exponents), peaks
 
@@ -241,7 +246,7 @@ def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray
     (P, sections): the factor of each term is 2*pi*i*s*(u . tangent)."""
     if tangent is None:
         if emb.genus != 1:
-            raise ValueError("genus-2 derivatives need an explicit tangent 2-vector")
+            raise ValueError(f"genus-{emb.genus} derivatives need an explicit tangent {emb.genus}-vector")
         tangent = 1.0
     direction = _rows(emb, tangent)
     slopes = (direction @ emb._offsets).reshape(-1, *emb._quad.shape)
@@ -287,8 +292,8 @@ def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
 def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.ndarray:
     """Term-wise derivative of every section along a tangent direction.
 
-    For genus 1 the direction defaults to 1 (d/dz); for genus 2 it must be a
-    complex 2-vector.
+    For genus 1 the direction defaults to 1 (d/dz); for genus g >= 2 it must
+    be a complex g-vector.
     """
     centres, terms, factor = _raw_terms(emb, z)
     return _derivative_sums(emb, centres, terms, tangent)[0] * factor
@@ -299,7 +304,7 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     derivative along tangent.
 
     The derivative row is divided by the same norm as the coordinates, so the
-    pair stays a consistent affine chart of the embedded curve/surface.
+    pair stays a consistent affine chart of the embedded variety.
     """
     coords, derivatives = _embed(emb, [z], tangent)
     if not coords.any():
@@ -308,17 +313,12 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     return EmbeddedPoint(base=z, coords=coords[0], derivative=derivative)
 
 
-def chordal_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Fubini-Study chordal distance between projective points (unit vectors)."""
-    overlap = abs(np.vdot(u, v))
-    return math.sqrt(max(0.0, 1.0 - min(overlap, 1.0) ** 2))
-
-
 def projective_residual(u: np.ndarray, v: np.ndarray) -> float:
     """Norm of u - e^(i*phi)*v at the optimal phase, for unit vectors.
 
-    Unlike chordal_distance this has no cancellation floor near zero, so it
-    can certify agreement well below 1e-8.
+    It lies between the chordal distance sqrt(1 - |<u, v>|^2) and sqrt(2)
+    times it, but has no cancellation floor near zero, so it can certify
+    agreement well below 1e-8.
     """
     overlap = np.vdot(v, u)
     if overlap == 0:
@@ -368,11 +368,11 @@ def reduce_mod_lattice(emb: ThetaEmbedding, z: TorusPoint) -> TorusPoint:
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     """The torsion point (a + b*period)/order, with an exact-order flag.
 
-    For genus 1, a and b are integers; for genus 2, integer pairs (components
-    in the lattice basis D*Z^2 + Omega*Z^2).  Components are reduced mod
-    `order` exactly, which moves the point by a lattice vector only.  The flag
-    is true iff the point has order exactly `order`, i.e. gcd of all
-    components with order is 1.
+    For genus 1, a and b are integers; for genus g >= 2, integer g-tuples
+    (components in the lattice basis D*Z^g + Omega*Z^g).  Components are
+    reduced mod `order` exactly, which moves the point by a lattice vector
+    only.  The flag is true iff the point has order exactly `order`, i.e. gcd
+    of all components with order is 1.
     """
     if order == 0:
         raise ValueError("torsion order must be nonzero")
@@ -533,7 +533,7 @@ def _pair_offset(emb: ThetaEmbedding, shifts: np.ndarray) -> np.ndarray:
 
 def _grid_points(emb: ThetaEmbedding) -> np.ndarray:
     offsets = [(i + 0.5) / _GRID_SIDE for i in range(_GRID_SIDE)]
-    coords = [[x, y, y, x][: 2 * emb.genus] for x in offsets for y in offsets]
+    coords = [([x, y, y, x] * emb.genus)[: 2 * emb.genus] for x in offsets for y in offsets]
     return _point_from_coords(emb, np.array(coords))
 
 
@@ -575,8 +575,8 @@ def scroll_smoothness_probe(
         for index, base in enumerate(block):
             if start + index < samples:
                 partners[index] = _draw_partner(emb, shifts, base, rng, offset)
-            if g == 2:
-                raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+            if g > 1:
+                raw = rng.normal(size=g) + 1j * rng.normal(size=g)
                 tangents[index] = raw / np.linalg.norm(raw)
         fibres, derivatives = translates(block, np.repeat(tangents, k, axis=0))
         # a point whose sections vanish has zero rows; a fibre with one counts
@@ -595,7 +595,7 @@ def scroll_smoothness_probe(
             alive[alive] = decided
     passes, fails, inconclusives = counts.tolist()  # Python ints, for JSON
     return ProbeSummary(
-        genus=emb.genus, section_count=emb.section_count, group_order=k, samples=samples, seed=seed,
+        genus=emb.genus, sections=emb.section_count, group_order=k, samples=samples, seed=seed, tol=tol,
         probes=passes + fails + inconclusives, passes=passes, fails=fails, inconclusives=inconclusives,
         min_margin=float(min_margin) if min_margin < np.inf else float("nan"),
     )

@@ -463,6 +463,48 @@ def test_probe_payload_bits_pinned(capsys, argv, expected):
     assert (code, *counts, float.hex(payload["min_margin"])) == expected
 
 
+PROBE_KEYS = ["kind", "genus", "sections", "group_order", "samples", "seed", "tol",
+              "probes", "passes", "fails", "inconclusives", "min_margin"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-elliptic", "--m", "5", "--samples", "3"],
+    ["probe-surface", "--d", "7", "--samples", "3", "--tol", "1e-7"],
+], ids=["elliptic", "surface"])
+def test_probe_payload_keys_and_csv_header(capsys, argv):
+    code, env = run_cli_json(capsys, argv)
+    assert code == 0
+    assert list(env["payload"]) == PROBE_KEYS
+    assert env["payload"]["tol"] == env["params"]["tol"]
+    code, out = run_cli(capsys, argv + ["--format", "csv"])
+    header, row = out.splitlines()
+    assert header == "genus,sections,group_order,samples,seed,probes,passes,fails,inconclusives,min_margin"
+    assert row.split(",")[:5] == [str(env["payload"][key]) for key in PROBE_KEYS[1:6]]
+
+
+def test_probe_lattice_beyond_the_term_bound_is_refused_in_little_memory():
+    import scrolls.theta  # noqa: F401  (numpy's import is not the probe's memory)
+
+    # at Im(Omega) = 1e-5 I a genus-2 point's sum would hold 7 x 2260^2 terms
+    params = {"d": 7, "omega": (1e-5j, 0j, 1e-5j), "torsion": (0, 1, 0, 0, 2),
+              "samples": 0, "seed": 42, "tol": 1e-8}
+    tracemalloc.start()
+    try:
+        envelope, code = run("probe-surface", **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert envelope.payload["message"] == (
+        "35753200 terms per point exceed 1048576; Im(period) too small"
+    )
+    assert peak < 10 * 2**20
+    # at 1e-3 I a point's sum holds 7 x 228^2 terms, within the bound
+    envelope, code = run("probe-surface", **dict(params, omega=(1e-3j, 0j, 1e-3j)))
+    assert code == 0
+    assert (envelope.payload["probes"], envelope.payload["passes"]) == (48, 48)
+
+
 # -------------------------------------------------------------------- errors
 
 def test_missing_required_flag_exits_three(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -10,7 +12,6 @@ from scrolls.theta import (
     ConfigurationError,
     EvaluationError,
     ThetaEmbedding,
-    chordal_distance,
     cyclic_group,
     elliptic_embedding,
     fibre_independence_probe,
@@ -31,6 +32,16 @@ TAU = 1j
 OMEGA = np.array([[0.31 + 1.12j, 0.07 + 0.21j], [0.07 + 0.21j, -0.18 + 1.35j]])
 
 
+def _genus3_period():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    return 0.2 * (a + a.T) / 2 + 1j * (np.eye(3) + (b + b.T) / 16)
+
+
+# an abelian threefold: eigenvalues of Im are 0.68, 0.97 and 1.13, so R = 5
+OMEGA3 = _genus3_period()
+
+
 def seeded_points(count, seed=0):
     rng = np.random.default_rng(seed)
     return [complex(x + y * TAU) for x, y in rng.random((count, 2))]
@@ -43,9 +54,13 @@ def test_embedding_validation():
         elliptic_embedding(5, 1.0 - 0.2j)
     with pytest.raises(ConfigurationError):
         elliptic_embedding(2, 1j)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="genus must be at least 1, got 0"):
+        ThetaEmbedding(genus=0, period=1j, degree=5)
+    with pytest.raises(ConfigurationError, match="genus-3 period must be a symmetric 3x3 matrix"):
         ThetaEmbedding(genus=3, period=1j, degree=5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="genus-3 period must be a symmetric 3x3 matrix"):
+        ThetaEmbedding(genus=3, period=OMEGA3 + np.triu(np.full((3, 3), 0.1), 1), degree=9)
+    with pytest.raises(ConfigurationError, match="genus-2 period must be a symmetric 2x2 matrix"):
         surface_embedding(7, np.array([[1j, 0.5], [0.4, 1j]]))  # not symmetric
     with pytest.raises(ConfigurationError):
         surface_embedding(7, np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
@@ -63,8 +78,12 @@ def test_truncation_radius_positive_and_scaling():
         elliptic_embedding(5, 0.02j).truncation_radius
         > elliptic_embedding(5, 2j).truncation_radius
     )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as refused:
         elliptic_embedding(5, 1e-12j)
+    assert str(refused.value) == "truncation radius 1595770 exceeds 10000; Im(period) too small"
+    # a scale so small that the radius overflows a float is refused the same way
+    with pytest.raises(ConfigurationError, match="truncation radius inf exceeds 10000"):
+        elliptic_embedding(5, 1e-320j)
     # computed from the period, never set by the caller
     with pytest.raises(TypeError):
         ThetaEmbedding(genus=1, period=1j, degree=5, truncation_radius=50)
@@ -106,7 +125,8 @@ def test_random_points_embed_distinctly():
     points = [theta_basis_eval(emb, z).coords for z in seeded_points(5, seed=5)]
     for i in range(5):
         for j in range(i + 1, 5):
-            assert chordal_distance(points[i], points[j]) > 1e-6
+            # the chordal distance is at least this residual over sqrt(2)
+            assert projective_residual(points[i], points[j]) > 2**0.5 * 1e-6
 
 
 def test_derivative_matches_finite_differences():
@@ -145,6 +165,23 @@ def test_genus2_derivative_matches_finite_differences():
             theta_values(emb, z + step * tangent) - theta_values(emb, z - step * tangent)
         ) / (2 * step)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic) < 1e-6
+
+
+def test_genus3_box_and_lattice_periodicity():
+    emb = ThetaEmbedding(genus=3, period=OMEGA3, degree=9)
+    assert emb.truncation_radius == 5
+    assert emb._quad.shape == (9, 12 ** 3)
+    z = np.array([0.23 + 0.31j, -0.12 + 0.44j, 0.05 + 0.2j])
+    base = theta_basis_eval(emb, z).coords
+    for generator in (OMEGA3[:, 0], OMEGA3[:, 2], np.array([0, 0, 9.0]), np.array([1.0, 0, 0])):
+        translated = theta_basis_eval(emb, z + generator).coords
+        assert projective_residual(base, translated) < 1e-13
+
+
+def test_genus3_derivative_needs_a_tangent_3_vector():
+    emb = ThetaEmbedding(genus=3, period=OMEGA3, degree=9)
+    with pytest.raises(ValueError, match="genus-3 derivatives need an explicit tangent 3-vector"):
+        theta_derivatives(emb, np.zeros(3))
 
 
 # ------------------------------------------------------------ torus geometry
@@ -361,7 +398,8 @@ def test_infinitely_near_cluster_of_length_m_minus_one():
 # (genus, degree, torsion, samples, seed) -> (probes, passes, fails,
 # inconclusives, float.hex(min_margin)), recorded before the probe engine
 # evaluated each torus point once; the m = 11, Im(tau) = 6 row was recorded
-# when each point's terms came to be scaled by the largest.  That case has
+# when each point's terms came to be scaled by the largest, and the genus-3
+# row when the probe came to take any genus.  The m = 11 case has
 # fibre points whose terms pass 1e154, beyond an unscaled norm, and
 # test_m11_points_beyond_the_norm_range_match_mpmath checks them.  Every
 # decisive ratio of these rows lies at least three decades from the gray-zone
@@ -376,6 +414,7 @@ PINNED_SUMMARIES = [
     ((1, 11, 0.1 + 6j, (0, 1, 5), 12, 2), (84, 84, 0, 0, "0x1.d3b3d8483622fp-8")),
     ((2, 7, OMEGA, (0, 1, 0, 0, 2), 12, 42), (84, 84, 0, 0, "0x1.2d4ee7c994785p-7")),
     ((2, 11, OMEGA, (0, 1, 0, 0, 5), 4, 5), (60, 60, 0, 0, "0x1.13ab4be44e28cp-7")),
+    ((3, 9, OMEGA3, (0, 0, 1, 0, 0, 0, 2), 40, 1), (168, 168, 0, 0, "0x1.a9831b5c323a4p-7")),
 ]
 # The d = 9 torsion (1,0,0,0,3) case fails today (ROADMAP item 2).  Its
 # decisive ratios sit next to the gray-zone cutoffs, so only the failure and
@@ -385,14 +424,9 @@ GRAY_SUMMARY = ((2, 9, OMEGA, (1, 0, 0, 0, 3), 6, 42), 66)
 
 
 def probe_setup(genus, degree, period, torsion):
-    if genus == 1:
-        emb = elliptic_embedding(degree, period)
-        a, b, order = torsion
-        generator = torsion_point(emb, a, b, order)
-    else:
-        emb = surface_embedding(degree, period)
-        a1, a2, b1, b2, order = torsion
-        generator = torsion_point(emb, (a1, a2), (b1, b2), order)
+    emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
+    *components, order = torsion
+    generator = torsion_point(emb, components[:genus], components[genus:], order)
     return emb, cyclic_group(emb, generator.point, generator.actual_order)
 
 
@@ -400,10 +434,8 @@ def pinned_probe(config):
     genus, degree, period, torsion, samples, seed = config
     emb, group = probe_setup(genus, degree, period, torsion)
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
-    assert (summary.genus, summary.section_count, summary.group_order) == (
-        genus, degree, len(group)
-    )
-    assert (summary.samples, summary.seed) == (samples, seed)
+    assert (summary.genus, summary.sections, summary.group_order) == (genus, degree, len(group))
+    assert (summary.samples, summary.seed, summary.tol) == (samples, seed, HARD_TOL)
     return summary
 
 
@@ -525,7 +557,16 @@ def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, conf
     emb, group = probe_setup(*config[:4])
     monkeypatch.setattr(theta, "_BLOCK", 1)
     monkeypatch.setattr(theta, "_TERMS", len(group) * emb._quad.size)
-    assert pinned_probe(config) == default  # min_margin to the last bit
+    budgeted = pinned_probe(config)
+    if emb.genus < 3:
+        assert budgeted == default  # min_margin to the last bit
+    else:
+        # a genus-3 point's 15552 terms exceed _TERMS, so by default each
+        # lattice sum holds one point, and numpy's matmul forms its three-term
+        # products v.(Omega*k + w) with BLAS gemv, not the gemm of a two-point
+        # sum: the last bits may move, the verdicts may not
+        assert dataclasses.replace(budgeted, min_margin=default.min_margin) == default
+        assert budgeted.min_margin == pytest.approx(default.min_margin, rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [lambda: elliptic_embedding(7, 0.3 + 0.9j),
@@ -632,7 +673,7 @@ def test_genus2_box_is_fixed_by_the_period():
     for z in (np.zeros(2, dtype=complex), far):
         assert _section_terms(emb, z)[1].shape == (1, 7, side ** 2)
     tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
-    values, derivatives = mp_theta_genus2(7, OMEGA, far, tangent)
+    values, derivatives = mp_theta(7, OMEGA, far, tangent)
     assert relative_error(theta_values(emb, far), values) < 1e-12
     assert relative_error(theta_derivatives(emb, far, tangent), derivatives) < 1e-12
 
@@ -784,24 +825,27 @@ def mp_theta_genus1(m, tau, z, direction, projective=False):
                 np.array([complex(d / norm) for d in derivatives]))
 
 
-def mp_theta_genus2(d, omega, z, tangent):
+def mp_theta(d, omega, z, tangent, reach=12):
+    """Direct 30-digit sums of s_j(z) = theta[(0, ..., 0, j/d), 0](z, omega) in
+    genus g = len(z), and their derivatives along tangent, over the lattice
+    vectors within `reach` of the peak in each coordinate."""
+    g = len(z)
     with mpmath.workdps(ORACLE_DPS):
-        om = [[mpmath.mpc(omega[i, j]) for j in range(2)] for i in range(2)]
+        om = [[mpmath.mpc(omega[i, j]) for j in range(g)] for i in range(g)]
         zv = [mpmath.mpc(c) for c in z]
         tv = [mpmath.mpc(c) for c in tangent]
         center = np.rint(-np.linalg.solve(omega.imag, np.asarray(z).imag)).astype(int)
-        box = [range(c - 12, c + 13) for c in center]
+        box = list(itertools.product(*[range(c - reach, c + reach + 1) for c in center]))
         values, derivatives = [], []
         for j in range(d):
             value = derivative = mpmath.mpc(0)
-            for n1 in box[0]:
-                for n2 in box[1]:
-                    u = (mpmath.mpf(n1), n2 + mpmath.mpf(j) / d)
-                    quad = sum(u[a] * om[a][b] * u[b] for a in range(2) for b in range(2))
-                    linear = u[0] * zv[0] + u[1] * zv[1]
-                    term = mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * linear)
-                    value += term
-                    derivative += 2j * mpmath.pi * (u[0] * tv[0] + u[1] * tv[1]) * term
+            for n in box:
+                u = [mpmath.mpf(c) for c in n[:-1]] + [n[-1] + mpmath.mpf(j) / d]
+                quad = sum(u[a] * om[a][b] * u[b] for a in range(g) for b in range(g))
+                linear = sum(u[a] * zv[a] for a in range(g))
+                term = mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * linear)
+                value += term
+                derivative += 2j * mpmath.pi * sum(u[a] * tv[a] for a in range(g)) * term
             values.append(complex(value))
             derivatives.append(complex(derivative))
     return np.array(values), np.array(derivatives)
@@ -831,7 +875,17 @@ def test_genus1_theta_matches_mpmath(m, tau, z):
 def test_genus2_theta_matches_mpmath(z):
     emb = surface_embedding(7, OMEGA)
     tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
-    values, derivatives = mp_theta_genus2(7, OMEGA, z, tangent)
+    values, derivatives = mp_theta(7, OMEGA, z, tangent)
+    assert relative_error(theta_values(emb, z), values) < 1e-12
+    assert relative_error(theta_derivatives(emb, z, tangent), derivatives) < 1e-12
+
+
+def test_genus3_theta_matches_mpmath():
+    emb = ThetaEmbedding(genus=3, period=OMEGA3, degree=9)
+    z = np.array([0.23 + 0.31j, -0.12 + 0.44j, 0.05 + 0.2j])
+    tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j, 0.2 - 0.4j])
+    # a +-4 box agrees to about 4e-16 here; +-3 drops terms of relative size 2e-11
+    values, derivatives = mp_theta(9, OMEGA3, z, tangent, reach=4)
     assert relative_error(theta_values(emb, z), values) < 1e-12
     assert relative_error(theta_derivatives(emb, z, tangent), derivatives) < 1e-12
 
