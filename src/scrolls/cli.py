@@ -31,11 +31,14 @@ forced where smoothness was asserted, 2 inconclusive numeric probes remain,
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -107,31 +110,14 @@ def _run_invariants(n, k, l, cn, cross_check=False, expect_smooth=False):
 
 
 def _run_verify(n_min, n_max, k_min, k_max):
-    # `records` is a one-pass iterator of InequalityRecord; the classification
-    # flag, the warning, the equality set (JSON lists its pairs, text counts
-    # them) and main()'s exit code are final once it is consumed
-    rows = sweep_records(range(n_min, n_max + 1), range(k_min, k_max + 1))
-    payload = {"kind": "sweep", "records": None, "equality_set": None, "classification_holds": True}
-    warnings = []
-    exceptions = set()  # pairs where "eq iff n <= 2" fails: they leave or join the n <= 2 pairs
-
-    def records():
-        for rec in rows:
-            if rec.relation != ("eq" if rec.n <= 2 else "gt"):
-                payload["classification_holds"] = False
-                if (rec.relation == "eq") != (rec.n <= 2):
-                    exceptions.add((rec.n, rec.k))
-            yield rec
-        if not payload["classification_holds"]:
-            warnings.append("equality classification violated on this grid")
-
-    def equality_set():
-        for n in range(n_min, min(n_max, 2) + 1):
-            yield from ((n, k) for k in range(k_min, k_max + 1) if (n, k) not in exceptions)
-        yield from sorted(pair for pair in exceptions if pair[0] > 2)
-
-    payload["records"], payload["equality_set"] = records(), equality_set()
-    return payload, warnings, EXIT_OK
+    # the records are formed only as they are written: _write_records splits
+    # a large grid across the usable CPUs in forked spans, then sets the
+    # classification flag, the warning and the equality set (JSON lists its
+    # pairs, text counts them) that main()'s exit code reads
+    grid = range(n_min, n_max + 1), range(k_min, k_max + 1)
+    sweep_records(*grid)  # validates the ranges now
+    payload = {"kind": "sweep", "records": grid, "equality_set": None, "classification_holds": True}
+    return payload, [], EXIT_OK
 
 
 def _run_family(k_max):
@@ -246,12 +232,116 @@ def run(command: str, **params) -> tuple[ReportEnvelope, int]:
 
 # ----------------------------------------------------------------- rendering
 
-# Writers stream an envelope into a text handle.  A sweep's records go out one
-# by one from templates that match json.dumps(indent=2) and csv.writer bytes.
+# Writers stream an envelope into a text handle.  A sweep's records go out in
+# spans from templates that match json.dumps(indent=2) and csv.writer bytes.
 
-_RECORD_JSON = ('      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d",\n'
+_RECORD_JSON = (',\n      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d",\n'
                 '        "rhs": "%d",\n        "relation": "%s"\n      }')
 _PAIR_JSON = "      [\n        %d,\n        %d\n      ]"
+
+# Grids of fewer pairs are written in one process: on 2 CPUs, a forked second
+# writer broke even at 4,000 to 5,000 pairs of rows from n = 3 (medians of 25).
+_FORK_MIN_PAIRS = 5000
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _spans(ns: range, ks: range, count: int) -> list:
+    """The grid in output order, cut into at most `count` lists of (n, k range)
+    rows of about equal estimated cost; a cut may fall mid-row."""
+    width, k = len(ks), ks[len(ks) // 2]
+    # per pair, at the middle k: a fixed part, the digits d of
+    # lhs = (n+k-1)!/(k-1)! (2n+2k-1), and d^2 for the quadratic int to str
+    digits = [(math.lgamma(n + k) - math.lgamma(k) + math.log(2 * n + 2 * k - 1)) / 2.3 for n in ns]
+    ends = [0.0, *itertools.accumulate(300 + d + d * d / 600 for d in digits)]
+
+    def cut(target):  # the index in output order of the pair where the cost reaches target
+        row = bisect.bisect(ends, target) - 1
+        return row * width + round(width * (target - ends[row]) / (ends[row + 1] - ends[row]))
+
+    cuts = sorted({0, len(ns) * width, *(cut(ends[-1] * i / count) for i in range(1, count))})
+    return [[(ns[row], ks[max(a - row * width, 0):b - row * width])
+             for row in range(a // width, -(-b // width))] for a, b in zip(cuts, cuts[1:])]
+
+
+def _write_span(rows: list, out, template, strip: int = 0) -> tuple:
+    """Write the records of `rows` with `template` (None: none), the first
+    `strip` characters left out; return whether the classification holds and
+    the pairs where "eq iff n <= 2" fails."""
+    holds, exceptions = True, []
+    for n, ks in rows:
+        records = sweep_records((n,), ks)
+        while batch := list(itertools.islice(records, 256)):
+            if template is not None:
+                out.write("".join(map(template.__mod__, batch))[strip:])
+                strip = 0
+            if [rec.relation for rec in batch].count("eq" if n <= 2 else "gt") < len(batch):
+                holds = False
+                exceptions += [(n, rec.k) for rec in batch if (rec.relation == "eq") != (n <= 2)]
+    return holds, exceptions
+
+
+def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> None:
+    """Write the sweep's records (see _write_span); set the classification
+    flag and the equality set.  From _FORK_MIN_PAIRS on, forked children write
+    all spans but the first into temp files, which the parent copies to `out`
+    after its own, in order: the bytes do not depend on the CPU count."""
+    payload = envelope.payload
+    ns, ks = payload["records"]
+    fork = hasattr(os, "fork") and len(ns) * len(ks) >= _FORK_MIN_PAIRS
+    first, *rest = _spans(ns, ks, _cpu_count() if fork else 1)
+    children = []  # (pid, summary pipe, temp file) of each child not yet reaped
+    try:
+        for rows in rest:
+            handle = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # never returns: it would flush the parent's buffers, run its cleanup
+                status = 1
+                try:
+                    os.close(read_fd)  # the pipe breaks if the parent dies
+                    summary = _write_span(rows, handle, template)
+                    handle.flush()
+                    with open(write_fd, "w") as pipe:
+                        json.dump(summary, pipe)
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())  # before os._exit drops it
+                    raise
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd), handle))
+        summaries = [_write_span(first, out, template, strip)]
+        while children:
+            pid, pipe, handle = children[0]
+            summary = pipe.read()  # to EOF first: the pairs may exceed the pipe buffer
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            with pipe, handle:
+                if status:
+                    raise RuntimeError(f"sweep span process {pid} failed, wait status {status}")
+                handle.seek(0)
+                while chunk := handle.read(1 << 18):
+                    out.write(chunk)
+            summaries.append(json.loads(summary))
+    finally:
+        for pid, pipe, handle in children:  # left only when the run failed
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
+            handle.close()
+    holds, exceptions = zip(*summaries)
+    exceptions = set(map(tuple, itertools.chain(*exceptions)))
+    payload["classification_holds"] = all(holds)
+    if not all(holds):
+        envelope.warnings.append("equality classification violated on this grid")
+    payload["equality_set"] = itertools.chain(
+        ((n, k) for n in range(ns[0], min(ns[-1], 2) + 1) for k in ks if (n, k) not in exceptions),
+        sorted(pair for pair in exceptions if pair[0] > 2))
 
 
 def _complex_json(value) -> list:
@@ -282,8 +372,10 @@ def write_json(envelope: ReportEnvelope, out) -> None:
             out.writelines(map((",\n" + template).__mod__, rows))
             out.write("\n    ]")
 
-    out.write(around_lists()[0])
-    write_list(_RECORD_JSON, payload["records"])
+    out.write(around_lists()[0] + "[")
+    # each record carries its ",\n" separator; strip=1 drops the first comma
+    _write_records(envelope, out, _RECORD_JSON, strip=1)
+    out.write("\n    ]")
     # the fields after the records, and the equality set, are final only now
     _, between, after = around_lists()
     out.write(between)
@@ -307,7 +399,7 @@ def write_csv(envelope: ReportEnvelope, out) -> None:
     kind = payload.get("kind")
     if kind == "sweep":
         writer.writerow(["n", "k", "lhs", "rhs", "relation"])
-        out.writelines(map("%d,%d,%d,%d,%s\n".__mod__, payload["records"]))
+        _write_records(envelope, out, "%d,%d,%d,%d,%s\n")
     elif kind in _CSV_COLUMNS:
         columns = _CSV_COLUMNS[kind]
         writer.writerow(columns)
@@ -328,10 +420,10 @@ def write_text(envelope: ReportEnvelope, out) -> None:
                 f"deg_Y={rec['deg_Y']} double_point={rec['double_point']} -> {rec['verdict']}"
             )
     elif kind == "sweep":
-        checked = equal = 0
-        for checked, r in enumerate(payload["records"], 1):
-            equal += r.relation == "eq"
-        lines.append(f"  {checked} pairs checked; equality at {equal} of them")
+        _write_records(envelope, out, None)
+        ns, ks = payload["records"]
+        equal = sum(1 for _ in payload["equality_set"])
+        lines.append(f"  {len(ns) * len(ks)} pairs checked; equality at {equal} of them")
         lines.append(f"  classification holds: {payload['classification_holds']}")
     elif kind == "probe":
         lines.append(

@@ -15,16 +15,19 @@ coefficient extraction:
 
 The two engine extractions are C(n+k-1, k-1) (hyperplane_power_coefficient)
 and the c^n h^(k-1) coefficient of the total class (top_chern_normal).  Each
-is computed twice, once through the ring engine and once from a closed form,
-and a mismatch raises EngineMismatchError (it would mean a bug in the ring,
-not bad input).  build_report runs each extraction once and derives all three
-invariants from the two results; the top Chern coefficient is read from the
-two factors of the total class without forming their full product.
+is computed twice, once through the engine (Pascal steps in the top degree
+for the first, the ring's power recurrence for the second) and once from a
+closed form, and a mismatch raises EngineMismatchError (it would mean a bug
+in the engine, not bad input).  build_report runs each extraction once and
+derives all three invariants from the two results; the top Chern coefficient
+is read from the two factors of the total class without forming their full
+product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +35,6 @@ from .ring import (
     RingShape,
     TruncPoly,
     binomial,
-    coefficient,
     make_poly,
     power_signed,
     product_coefficient,
@@ -104,15 +106,18 @@ def _one_plus(shape: RingShape, c_coeff: int) -> TruncPoly:
 def hyperplane_power_coefficient(n: int, k: int) -> int:
     """Coefficient of c^n h^(k-1) in (c+h)^(n+k-1), which equals C(n+k-1, k-1).
 
-    The engine reads it from the unit (1+c+h)^(n+k-1), in whose degree n+k-1
-    only (c+h)^(n+k-1) contributes, with one pass of the power recurrence
-    and no ring products.  It is checked against the binomial closed form;
-    both routes must agree exactly.
+    The engine steps the homogeneous (c+h)^t to t = n+k-1 in the top degree
+    only, one multiplication by (c+h) (a Pascal step) at a time, and keeps
+    the coefficients of c^i h^(t-i) within the caps i <= n, t-i <= k-1.  It
+    is checked against the binomial closed form; both routes must agree
+    exactly.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    shape = RingShape(n, k - 1)
-    engine = coefficient(power_signed(_one_plus(shape, 1), n + k - 1), n, k - 1)
+    row = [1]  # (c+h)^t from c^max(0, t-k+1) up to c^min(t, n)
+    for t in range(1, n + k):
+        row = list(map(operator.add, [0, *row], [*row, 0]))[t >= k:len(row) + (t <= n)]
+    (engine,) = row
     closed = binomial(n + k - 1, k - 1)
     if engine != closed:
         raise EngineMismatchError(

@@ -90,9 +90,9 @@ def _ascending(values: Iterable[int]):
 def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[InequalityRecord]:
     """Inequality records for every (n, k) pair, yielded in (n, k) order.
 
-    The ranges are validated at call time.  Along a row C(n+k-1, k-1) and
-    C(2n+2k-1, n) step from k-1 to k by exact ratios, and are computed afresh
-    at each row start and k gap.
+    The ranges are validated at call time.  Along a row lhs and rhs step from
+    k-1 to k by exact ratios of small ints, and are computed afresh at each
+    row start and k gap.
     """
     n_values, k_values = _ascending(n_range), _ascending(k_range)
     if not n_values or not k_values:
@@ -107,13 +107,13 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
             for k in k_values:
                 m = 2 * n + 2 * k - 1
                 if k - 1 == previous:
-                    left = left * (n + k - 1) // (k - 1)
-                    right = right * (m - 1) * m // ((m - n - 1) * (m - n))
+                    # one small-int multiply and one exact division each
+                    lhs = lhs * ((n + k - 1) * m) // ((k - 1) * (m - 2))
+                    rhs = rhs * (k * (m - 1) * m) // ((k - 1) * (m - n - 1) * (m - n))
                 else:
-                    left = binomial(n + k - 1, k - 1)
-                    right = binomial(m, n)
+                    lhs = binomial(n + k - 1, k - 1) * m * factorial
+                    rhs = k * binomial(m, n)
                 previous = k
-                lhs, rhs = left * m * factorial, k * right
                 relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
                 yield InequalityRecord(n, k, lhs, rhs, relation)
 

@@ -280,6 +280,134 @@ def test_verify_json_equality_set_follows_the_records(capsys, monkeypatch):
     assert out == json.dumps(env, indent=2) + "\n"
 
 
+# main() in a new interpreter, so that no numpy thread runs when it forks
+# (Python 3.12+ warns of a fork beside running threads).  The interpreter sees
+# `cpus` CPUs, forks from the smallest grid on, may take its row source from
+# this module, and exits 4 if a span process is left behind.
+_FRESH_MAIN = """
+import os, sys
+import scrolls.cli as cli, test_cli
+cpus, rows, *argv = sys.argv[1:]
+cli._cpu_count, cli._FORK_MIN_PAIRS = (lambda: int(cpus)), 0
+if rows:
+    cli.sweep_records = getattr(test_cli, rows)
+try:
+    code = cli.main(argv)
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        sys.exit(4)
+sys.exit(code)
+"""
+
+
+def _fresh_main(cpus, argv, rows=""):
+    paths = [str(Path(scrolls.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", _FRESH_MAIN, str(cpus), rows, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_spans_cut_the_grid_in_output_order():
+    from scrolls.cli import _spans
+
+    for ns, ks in [(range(3, 203), range(2, 202)), (range(3, 4), range(1, 20001)),
+                   (range(1, 3), range(1, 3)), (range(1, 2), range(1, 2))]:
+        for count in (1, 2, 3):
+            spans = _spans(ns, ks, count)
+            assert 1 <= len(spans) <= count and all(spans)
+            pairs = [(n, k) for rows in spans for n, part in rows for k in part]
+            assert pairs == [(n, k) for n in ns for k in ks]
+    # a single row is cut mid-row, into equal parts
+    assert [[(n, part) for n, part in rows] for rows in _spans(range(3, 4), range(1, 20001), 2)] \
+        == [[(3, range(1, 10001))], [(3, range(10001, 20001))]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(("n_range", "k_range"), [
+    (range(3, 203), range(2, 202)),  # the benchmark's 200 x 200 grid, at a row offset
+    (range(3, 4), range(1, 20001)),  # one row, cut mid-row
+    (range(1, 3), range(1, 301)),  # equality at every pair
+])
+def test_verify_bytes_do_not_depend_on_the_cpu_count(n_range, k_range, fmt):
+    def without_timestamp(text):
+        return re.sub(r'^  "timestamp": "[^"]*",\n', "", text, count=1, flags=re.M)
+
+    with no_int_digit_limit():
+        expected = without_timestamp(_reference_verify(n_range, k_range, fmt, ""))
+    for cpus in (1, 2, 3):
+        result = _fresh_main(cpus, _grid_argv(n_range, k_range) + ["--format", fmt])
+        assert result.returncode == 0, result.stderr
+        assert without_timestamp(result.stdout) == expected, cpus
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_verify_violation_in_a_child_span_exits_one(cpus):
+    # (2, 2) is the last pair, so a child writes it
+    argv = _grid_argv(range(1, 3), range(1, 3))
+    result = _fresh_main(cpus, argv, "_tampered_rows")
+    assert result.returncode == 1, result.stderr
+    env = json.loads(result.stdout)
+    assert env["payload"]["classification_holds"] is False
+    assert env["payload"]["equality_set"] == [[1, 1], [1, 2], [2, 1]]
+    assert env["warnings"] == ["equality classification violated on this grid"]
+
+    result = _fresh_main(cpus, argv + ["--format", "text"], "_tampered_rows")
+    assert result.returncode == 1
+    assert result.stdout.endswith("  4 pairs checked; equality at 3 of them\n"
+                                  "  classification holds: False\n"
+                                  "  warning: equality classification violated on this grid\n")
+
+
+def _no_equality_rows(ns, ks):
+    for rec in sweep_records(ns, ks):
+        yield rec._replace(relation="gt")
+
+
+def test_verify_many_exception_pairs_cross_the_summary_pipe():
+    # the child's 20000 exception pairs exceed a pipe buffer: the parent reads
+    # them before it waits for the child
+    result = _fresh_main(2, _grid_argv(range(1, 3), range(1, 20001)), "_no_equality_rows")
+    assert result.returncode == 1, result.stderr
+    payload = json.loads(result.stdout)["payload"]
+    assert payload["equality_set"] == [] and payload["classification_holds"] is False
+
+
+def _failing_at(pair):
+    def rows(ns, ks):
+        for rec in sweep_records(ns, ks):
+            if (rec.n, rec.k) == pair:
+                raise RuntimeError("row source failed")
+            yield rec
+
+    return rows
+
+
+# split in 2 or 3 spans, the 6 x 6 grid gives (1, 1) to the parent and (4, 4)
+# to the first child
+_failing_at_1_1, _failing_at_4_4 = _failing_at((1, 1)), _failing_at((4, 4))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_failure_in_a_split_grid_keeps_previous_output(tmp_path, fmt):
+    # main raises; a failed child is reported as a RuntimeError after the
+    # child's own traceback, and the other children are stopped
+    target = tmp_path / f"sweep.{fmt}"
+    argv = _grid_argv(range(1, 7), range(1, 7)) + ["--format", fmt, "--output", str(target)]
+    assert _fresh_main(2, argv).returncode == 0
+    before = target.read_bytes()
+    for cpus, rows in [(2, "_failing_at_1_1"), (2, "_failing_at_4_4"), (3, "_failing_at_4_4")]:
+        result = _fresh_main(cpus, argv, rows)
+        assert result.returncode == 1, result.stderr  # not 4: no span process is left
+        assert "RuntimeError: row source failed" in result.stderr
+        assert ("RuntimeError: sweep span process" in result.stderr) == (rows == "_failing_at_4_4")
+        assert target.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_family_reports_and_note(capsys):
     code, env = run_cli_json(capsys, ["family", "--k-max", "5"])
     assert code == 0

@@ -129,7 +129,7 @@ def test_top_chern_normal_makes_no_ring_products(monkeypatch):
     monkeypatch.setattr(ring, "mul", counted)
     assert top_chern_normal(30, 30, 119) == binomial(119, 30) * binomial(59, 29)
     assert calls["mul"] == 0
-    # nor does the whole report: C(n+k-1, k-1) is read from a unit's power too
+    # nor does the whole report: C(n+k-1, k-1) comes from Pascal steps
     for n, k in ((1, 1), (2, 1), (1, 5), (30, 30)):
         l = 2 * n + 2 * k - 1
         report = build_report(ScrollData(n, k, l, math.factorial(n) * l))
