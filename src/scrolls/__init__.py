@@ -6,13 +6,10 @@ from .invariants import (
     ScrollData,
     ScrollReport,
     build_report,
-    double_point_number,
     hyperplane_power_coefficient,
-    rr_min_degree,
-    scroll_degree,
     top_chern_normal,
 )
-from .ring import RingShape, TruncPoly, binomial, coefficient, make_poly, mul, power_signed
+from .ring import RingShape, TruncPoly, binomial, make_poly, mul, power_signed
 from .verifier import (
     conjecture_family_report,
     inequality_check,
@@ -28,7 +25,6 @@ _THETA_NAMES = frozenset({
     "ThetaEmbedding",
     "cyclic_group",
     "elliptic_embedding",
-    "fibre_independence_probe",
     "scroll_smoothness_probe",
     "span_rank",
     "surface_embedding",

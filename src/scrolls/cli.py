@@ -113,10 +113,11 @@ def _run_verify(n_min, n_max, k_min, k_max):
     # the records are formed only as they are written: _write_records splits
     # a large grid across the usable CPUs in forked spans, then sets the
     # classification flag, the warning and the equality set (JSON lists its
-    # pairs, text counts them) that main()'s exit code reads
+    # pairs, text counts them) that main()'s exit code reads; until then
+    # the classification is unknown (None)
     grid = range(n_min, n_max + 1), range(k_min, k_max + 1)
     sweep_records(*grid)  # validates the ranges now
-    payload = {"kind": "sweep", "records": grid, "equality_set": None, "classification_holds": True}
+    payload = {"kind": "sweep", "records": grid, "equality_set": None, "classification_holds": None}
     return payload, [], EXIT_OK
 
 
@@ -337,8 +338,9 @@ def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> N
     holds, exceptions = zip(*summaries)
     exceptions = set(map(tuple, itertools.chain(*exceptions)))
     payload["classification_holds"] = all(holds)
-    if not all(holds):
-        envelope.warnings.append("equality classification violated on this grid")
+    violated = "equality classification violated on this grid"
+    if not all(holds) and violated not in envelope.warnings:  # once, however often rendered
+        envelope.warnings.append(violated)
     payload["equality_set"] = itertools.chain(
         ((n, k) for n in range(ns[0], min(ns[-1], 2) + 1) for k in ks if (n, k) not in exceptions),
         sorted(pair for pair in exceptions if pair[0] > 2))

@@ -150,59 +150,19 @@ def top_chern_normal(n: int, k: int, l: int) -> int:
     return closed
 
 
-def scroll_degree(data: ScrollData) -> Fraction:
-    """Expected degree of the scroll, (1/k) * C(n+k-1, k-1) * cn.
-
-    May be non-integral; callers flag that case rather than erroring, so that
-    impossible configurations can still be described.
-    """
-    return _degree(data, hyperplane_power_coefficient(data.n, data.k))
-
-
-def double_point_number(data: ScrollData) -> Fraction:
-    """Degree of the virtual double point class of the scroll map.
-
-    Evaluates (1/k) * cn * [ (1/k) * C(n+k-1, k-1)^2 * cn - c_m(N) coefficient ]
-    as an exact rational.  Positive values force double points; zero is the
-    necessary condition for smoothness.
-    """
-    return _double_point(
-        data,
-        hyperplane_power_coefficient(data.n, data.k),
-        top_chern_normal(data.n, data.k, data.l),
-    )
-
-
-def _degree(data: ScrollData, b: int) -> Fraction:
-    """(1/k) * b * cn with b = C(n+k-1, k-1)."""
-    return Fraction(b * data.cn, data.k)
-
-
-def _double_point(data: ScrollData, b: int, t: int) -> Fraction:
-    """(1/k) * cn * [(1/k) * b^2 * cn - t] with b = C(n+k-1, k-1), t the top Chern coefficient."""
-    return Fraction(data.cn, data.k) * (Fraction(b * b * data.cn, data.k) - t)
-
-
-def rr_min_degree(n: int, l: int) -> int:
-    """Minimal cn compatible with l sections on an abelian n-fold: n! * l.
-
-    Equality holds exactly when the linear system is complete.
-    """
-    if n < 1 or l < 1:
-        raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    return math.factorial(n) * l
-
-
 def build_report(data: ScrollData) -> ScrollReport:
     """Aggregate all invariants of one scroll configuration into a report.
 
     Runs each engine extraction (with its closed-form check) exactly once.
+    A non-integral or negative value is flagged, not refused, so that
+    impossible configurations can still be described.
     """
     b = hyperplane_power_coefficient(data.n, data.k)
     t = top_chern_normal(data.n, data.k, data.l)
-    deg = _degree(data, b)
+    deg = Fraction(b * data.cn, data.k)  # (1/k) * C(n+k-1, k-1) * cn
     tcn = t * data.cn
-    dp = _double_point(data, b, t)
+    # (1/k) * cn * [(1/k) * b^2 * cn - t]; zero is necessary for smoothness
+    dp = Fraction(data.cn, data.k) * (Fraction(b * b * data.cn, data.k) - t)
     flags = []
     if deg.denominator != 1:
         flags.append("non-integral scroll degree")

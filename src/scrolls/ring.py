@@ -173,12 +173,6 @@ def _check_index(shape: RingShape, i: int, j: int) -> None:
         )
 
 
-def coefficient(p: TruncPoly, i: int, j: int) -> Rational:
-    """Exact coefficient of c^i h^j; zero if the monomial is absent."""
-    _check_index(p.shape, i, j)
-    return p.coeffs.get((i, j), 0)
-
-
 def product_coefficient(a: TruncPoly, b: TruncPoly, i: int, j: int) -> Rational:
     """Exact coefficient of c^i h^j in a*b, without forming the product.
 

@@ -140,10 +140,6 @@ class ThetaEmbedding:
         ):
             object.__setattr__(self, name, value)
 
-    @property
-    def section_count(self) -> int:
-        return self.degree
-
 
 def elliptic_embedding(m: int, tau: complex) -> ThetaEmbedding:
     return ThetaEmbedding(genus=1, period=tau, degree=m)
@@ -361,10 +357,6 @@ def lattice_distance(emb: ThetaEmbedding, z: TorusPoint) -> float:
     return float(_distances(emb, z)[0])
 
 
-def reduce_mod_lattice(emb: ThetaEmbedding, z: TorusPoint) -> TorusPoint:
-    return _torus_point(emb, _point_from_coords(emb, np.mod(_lattice_coords(emb, z)[0], 1.0)))
-
-
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     """The torsion point (a + b*period)/order, with an exact-order flag.
 
@@ -391,9 +383,9 @@ def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
 
 def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
     """Refuse a subgroup order too large for the immersion probe's 2k rows."""
-    if 2 * order > emb.section_count - 1:
+    if 2 * order > emb.degree - 1:
         raise ValueError(
-            f"group order {order} too large for {emb.section_count} sections: "
+            f"group order {order} too large for {emb.degree} sections: "
             "the immersion probe needs 2k <= section_count - 1"
         )
 
@@ -464,31 +456,6 @@ def _verdicts(ratios, ranks, expected_rank: int) -> np.ndarray:
     return np.where((GRAY_LOW <= decisive) & (decisive <= GRAY_HIGH), 2, np.where(passed, 0, 1))
 
 
-def _cluster_probe(emb: ThetaEmbedding, points, tangent, expected_rank: int, tol: float) -> ClusterProbe:
-    """Rank probe of the coordinate rows of `points` and, with a tangent,
-    their derivative rows, all from one _embed call."""
-    coords, derivatives = _embed(emb, points, tangent)
-    rows = coords if derivatives is None else np.concatenate([coords, derivatives])
-    ratios, ranks, margins = _rank_one(rows, tol, EvaluationError)
-    derivatives = [None] * len(coords) if derivatives is None else derivatives
-    return ClusterProbe(
-        points=tuple(map(EmbeddedPoint, points, coords, derivatives)),
-        expected_rank=expected_rank,
-        observed_rank=int(ranks[0]),
-        margin=float(margins[0]),
-        verdict=_VERDICTS[_verdicts(ratios, ranks, expected_rank)[0]],
-    )
-
-
-def fibre_independence_probe(
-    emb: ThetaEmbedding, group: Sequence[TorusPoint], base: TorusPoint, tol: float = HARD_TOL
-) -> ClusterProbe:
-    """Check that the translates of one point by the subgroup embed to |G|
-    independent points (base-point freeness of the scroll's fibres)."""
-    _check_group(emb, group)
-    return _cluster_probe(emb, [base + rho for rho in group], None, len(group), tol)
-
-
 def very_ampleness_cluster_probe(
     emb: ThetaEmbedding,
     points: Sequence[TorusPoint],
@@ -503,18 +470,29 @@ def very_ampleness_cluster_probe(
     cluster doubles each listed point infinitesimally: the probe stacks the
     value vectors z_i and the derivative vectors z_i' along `tangent` and
     checks for rank 2*len(points); a drop detects a non-immersive direction.
+    All rows come from one _embed call.
     """
     length = len(points) * (2 if with_derivatives else 1)
-    if length > emb.section_count - 1:
+    if length > emb.degree - 1:
         raise ValueError(
-            f"cluster length {length} exceeds section_count-1 = {emb.section_count - 1}; "
+            f"cluster length {length} exceeds section_count-1 = {emb.degree - 1}; "
             "independence is not expected"
         )
     if not with_derivatives:
         tangent = None
     elif tangent is None:
         tangent = np.eye(emb.genus)[0]  # along the first coordinate
-    return _cluster_probe(emb, points, tangent, length, tol)
+    coords, derivatives = _embed(emb, points, tangent)
+    rows = coords if derivatives is None else np.concatenate([coords, derivatives])
+    ratios, ranks, margins = _rank_one(rows, tol, EvaluationError)
+    derivatives = [None] * len(coords) if derivatives is None else derivatives
+    return ClusterProbe(
+        points=tuple(map(EmbeddedPoint, points, coords, derivatives)),
+        expected_rank=length,
+        observed_rank=int(ranks[0]),
+        margin=float(margins[0]),
+        verdict=_VERDICTS[_verdicts(ratios, ranks, length)[0]],
+    )
 
 
 def _pair_offset(emb: ThetaEmbedding, shifts: np.ndarray) -> np.ndarray:
@@ -565,7 +543,7 @@ def scroll_smoothness_probe(
 
     def translates(points, tangent=None):  # rows of the k translates of each point
         coords, derivatives = _embed(emb, (points[:, None] + shifts).reshape(-1, g), tangent)
-        return coords.reshape(-1, k, emb.section_count), derivatives
+        return coords.reshape(-1, k, emb.degree), derivatives
 
     counts = np.zeros(3, dtype=int)  # indexed as _VERDICTS
     min_margin = np.inf
@@ -595,7 +573,7 @@ def scroll_smoothness_probe(
             alive[alive] = decided
     passes, fails, inconclusives = counts.tolist()  # Python ints, for JSON
     return ProbeSummary(
-        genus=emb.genus, sections=emb.section_count, group_order=k, samples=samples, seed=seed, tol=tol,
+        genus=emb.genus, sections=emb.degree, group_order=k, samples=samples, seed=seed, tol=tol,
         probes=passes + fails + inconclusives, passes=passes, fails=fails, inconclusives=inconclusives,
         min_margin=float(min_margin) if min_margin < np.inf else float("nan"),
     )

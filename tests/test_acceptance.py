@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from scrolls.cli import main
-from scrolls.invariants import ScrollData, double_point_number, top_chern_normal
+from scrolls.invariants import ScrollData, build_report, top_chern_normal
 from scrolls.ring import RingShape, add, binomial, make_poly, mul, one, power_signed
 from scrolls.theta import (
     cyclic_group,
@@ -81,9 +81,9 @@ def test_criterion_03_engine_matches_closed_form():
 def test_criterion_04_double_point_numbers():
     start = time.perf_counter()
     values = [
-        double_point_number(ScrollData(1, 2, 5, 5)),
-        double_point_number(ScrollData(2, 2, 7, 14)),
-        double_point_number(ScrollData(3, 2, 9, 54)),
+        build_report(ScrollData(1, 2, 5, 5)).double_point,
+        build_report(ScrollData(2, 2, 7, 14)).double_point,
+        build_report(ScrollData(3, 2, 9, 54)).double_point,
     ]
     elapsed = time.perf_counter() - start
     ok = values == [0, 0, 2592]

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import scrolls
-from scrolls.cli import main, render_json, run
+from scrolls.cli import main, render_csv, render_json, run
 from scrolls.verifier import inequality_check, sweep_records
 
 
@@ -191,6 +192,26 @@ def test_verify_classification_violation_exits_one(capsys, tmp_path, monkeypatch
     text = target.read_text()
     assert "  classification holds: False\n" in text
     assert text.endswith("  warning: equality classification violated on this grid\n")
+
+
+def test_verify_verdict_comes_from_writing_the_records(monkeypatch):
+    # run() forms no record, so it reports no classification; a writer sets it
+    monkeypatch.setattr("scrolls.cli.sweep_records", _tampered_rows)
+    envelope, code = run("verify", n_min=1, n_max=4, k_min=1, k_max=3)
+    assert code == 0
+    assert envelope.payload["classification_holds"] is None
+    assert envelope.warnings == []
+    assert json.loads(render_json(envelope))["payload"]["classification_holds"] is False
+    assert envelope.payload["classification_holds"] is False
+
+
+def test_verify_rerendering_a_violated_sweep_warns_once(monkeypatch):
+    monkeypatch.setattr("scrolls.cli.sweep_records", _tampered_rows)
+    envelope, _ = run("verify", n_min=1, n_max=4, k_min=1, k_max=3)
+    first = render_json(envelope)
+    render_csv(envelope)
+    assert envelope.warnings == ["equality classification violated on this grid"]
+    assert render_json(envelope).split('"timestamp"')[1] == first.split('"timestamp"')[1]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -487,6 +508,16 @@ def test_exact_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_resolve():
+    # the eager imports and the lazily loaded theta names all resolve
+    tree = ast.parse(Path(scrolls.__file__).read_text())
+    names = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert "build_report" in names and "very_ampleness_cluster_probe" in scrolls._THETA_NAMES
+    for name in [*names, *sorted(scrolls._THETA_NAMES)]:
+        assert getattr(scrolls, name) is not None, name
 
 
 def test_probe_elliptic(capsys):

@@ -12,10 +12,7 @@ from scrolls.invariants import (
     VERDICT_DOUBLE_POINTS,
     VERDICT_SMOOTH,
     build_report,
-    double_point_number,
     hyperplane_power_coefficient,
-    rr_min_degree,
-    scroll_degree,
     top_chern_normal,
 )
 from scrolls.ring import binomial
@@ -54,22 +51,27 @@ def test_top_chern_general_l_closed_form():
                 assert top_chern_normal(n, k, l) == expected
 
 
+def double_point(data):
+    return build_report(data).double_point
+
+
 def test_scroll_degree_examples():
-    assert scroll_degree(ScrollData(1, 2, 5, 5)) == 5
-    assert scroll_degree(ScrollData(2, 2, 7, 14)) == 21
-    assert scroll_degree(ScrollData(2, 3, 9, 18)) == 36
+    assert build_report(ScrollData(1, 2, 5, 5)).deg_Y == 5
+    assert build_report(ScrollData(2, 2, 7, 14)).deg_Y == 21
+    assert build_report(ScrollData(2, 3, 9, 18)).deg_Y == 36
 
 
 def test_double_point_examples():
-    assert double_point_number(ScrollData(1, 2, 5, 5)) == 0
-    assert double_point_number(ScrollData(2, 2, 7, 14)) == 0
-    assert double_point_number(ScrollData(3, 2, 9, 54)) == 2592
+    assert double_point(ScrollData(1, 2, 5, 5)) == 0
+    assert double_point(ScrollData(2, 2, 7, 14)) == 0
+    assert double_point(ScrollData(3, 2, 9, 54)) == 2592
 
 
 def test_rr_min_degree_examples():
-    assert rr_min_degree(1, 5) == 5
-    assert rr_min_degree(2, 7) == 14
-    assert rr_min_degree(3, 9) == 54
+    # the Riemann-Roch floor n! * l is the complete case, one below it impossible
+    for n, k, l, floor in ((1, 2, 5, 5), (2, 2, 7, 14), (3, 2, 9, 54)):
+        assert ScrollData(n, k, l, floor).linear_system == "complete"
+        assert ScrollData(n, k, l, floor - 1).linear_system == "impossible"
 
 
 def test_scroll_data_validation():
@@ -114,8 +116,11 @@ def test_build_report_runs_each_engine_extraction_once(monkeypatch):
     data = ScrollData(3, 2, 9, 54)
     report = build_report(data)
     assert calls == {"top_chern_normal": 1, "hyperplane_power_coefficient": 1}
-    assert report.deg_Y == scroll_degree(data)
-    assert report.double_point == double_point_number(data) == 2592
+    # the closed forms, with b = C(n+k-1, k-1) = 4 and t = C(l, n) C(l-n-k, k-1) = 336:
+    # deg (1/k) b cn and double points (1/k) cn [(1/k) b^2 cn - t]
+    b, t = binomial(4, 1), binomial(9, 3) * binomial(4, 1)
+    assert report.deg_Y == Fraction(b * 54, 2) == 108
+    assert report.double_point == Fraction(54, 2) * (Fraction(b * b * 54, 2) - t) == 2592
 
 
 def test_top_chern_normal_makes_no_ring_products(monkeypatch):
@@ -150,7 +155,7 @@ def test_half_dimensional_complete_case_zero_iff_n_small():
     for n in range(1, 9):
         for k in range(1, 9):
             l = 2 * n + 2 * k - 1
-            dp = double_point_number(ScrollData(n, k, l, math.factorial(n) * l))
+            dp = double_point(ScrollData(n, k, l, math.factorial(n) * l))
             assert (dp == 0) == (n in (1, 2))
             assert dp >= 0
 
@@ -160,14 +165,14 @@ def test_double_point_strictly_increasing_in_cn():
         for k in range(1, 7):
             l = 2 * n + 2 * k - 1
             floor = math.factorial(n) * l
-            values = [double_point_number(ScrollData(n, k, l, floor + t)) for t in range(4)]
+            values = [double_point(ScrollData(n, k, l, floor + t)) for t in range(4)]
             assert all(earlier < later for earlier, later in zip(values, values[1:]))
 
 
 def test_projection_forces_double_points_even_for_small_n():
     # cn above the complete-system value: smoothness impossible also at n = 1, 2
-    assert double_point_number(ScrollData(1, 2, 5, 6)) > 0
-    assert double_point_number(ScrollData(2, 2, 7, 15)) > 0
+    assert double_point(ScrollData(1, 2, 5, 6)) > 0
+    assert double_point(ScrollData(2, 2, 7, 15)) > 0
 
 
 @settings(derandomize=True, max_examples=120)
@@ -179,12 +184,12 @@ def test_projection_forces_double_points_even_for_small_n():
 )
 def test_k_squared_double_point_is_integral(n, k, l_extra, cn):
     data = ScrollData(n, k, n + k + l_extra, cn)
-    assert (k * k * double_point_number(data)).denominator == 1
+    assert (k * k * double_point(data)).denominator == 1
 
 
 def test_van_de_ven_setting_k_equals_one():
     # trivial subgroup: the variety itself in P^(l-1); the classical surface
     # of degree 10 in P^4 is the unique smooth-consistent n = 2 case
-    assert double_point_number(ScrollData(2, 1, 5, 10)) == 0
-    assert double_point_number(ScrollData(3, 1, 7, 42)) == 294
+    assert double_point(ScrollData(2, 1, 5, 10)) == 0
+    assert double_point(ScrollData(3, 1, 7, 42)) == 294
     assert build_report(ScrollData(2, 1, 5, 10)).verdict == VERDICT_SMOOTH

@@ -14,10 +14,8 @@ from scrolls.theta import (
     ThetaEmbedding,
     cyclic_group,
     elliptic_embedding,
-    fibre_independence_probe,
     lattice_distance,
     projective_residual,
-    reduce_mod_lattice,
     scroll_smoothness_probe,
     span_rank,
     surface_embedding,
@@ -230,8 +228,8 @@ def test_lattice_reduction():
     emb = elliptic_embedding(5, TAU)
     z = 0.3 + 0.4j
     assert lattice_distance(emb, (z + 3 + 2 * TAU) - z) < 1e-12
-    reduced = reduce_mod_lattice(emb, z + 5 - 3 * TAU)
-    assert abs(reduced - z) < 1e-9
+    # z = 0.3 + 0.4*tau: a lattice shift leaves its distance to the lattice at 0.4
+    assert lattice_distance(emb, z + 5 - 3 * TAU) == pytest.approx(0.4, abs=1e-9)
 
 
 # -------------------------------------------------------------------- probes
@@ -257,7 +255,7 @@ def test_span_rank_examples():
 def test_fibre_independence_quintic():
     emb = elliptic_embedding(5, TAU)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
-    probe = fibre_independence_probe(emb, group, 0.31 + 0.17j)
+    probe = very_ampleness_cluster_probe(emb, [0.31 + 0.17j + rho for rho in group], with_derivatives=False)
     assert probe.verdict == "pass"
     assert probe.observed_rank == probe.expected_rank == 2
 
@@ -265,14 +263,14 @@ def test_fibre_independence_quintic():
 def test_fibre_independence_septic_order_three():
     emb = elliptic_embedding(7, TAU)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 3).point, 3)
-    probe = fibre_independence_probe(emb, group, 0.05 + 0.81j)
+    probe = very_ampleness_cluster_probe(emb, [0.05 + 0.81j + rho for rho in group], with_derivatives=False)
     assert probe.verdict == "pass"
     assert probe.observed_rank == 3
 
 
 def test_fibre_independence_trivial_group():
     emb = elliptic_embedding(5, TAU)
-    probe = fibre_independence_probe(emb, [0j], 0.4 + 0.2j)
+    probe = very_ampleness_cluster_probe(emb, [0.4 + 0.2j], with_derivatives=False)
     assert probe.verdict == "pass"
     assert probe.expected_rank == 1
 
@@ -280,7 +278,7 @@ def test_fibre_independence_trivial_group():
 def test_group_closure_enforced():
     emb = elliptic_embedding(5, TAU)
     with pytest.raises(ValueError, match="closed"):
-        fibre_independence_probe(emb, [0j, 0.3 + 0j], 0.4 + 0.2j)
+        scroll_smoothness_probe(emb, [0j, 0.3 + 0j], samples=1, seed=0)
 
 
 def test_cluster_probe_two_fibres():

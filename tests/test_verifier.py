@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scrolls.invariants import ScrollData, double_point_number
+from scrolls.invariants import ScrollData, build_report
 from scrolls.verifier import (
     FAMILY_DEGREE_NOTE,
     InequalityRecord,
@@ -128,7 +128,7 @@ def test_double_point_sign_matches_inequality_gap():
     for n in range(1, 9):
         for k in range(1, 9):
             l = 2 * n + 2 * k - 1
-            dp = double_point_number(ScrollData(n, k, l, math.factorial(n) * l))
+            dp = build_report(ScrollData(n, k, l, math.factorial(n) * l)).double_point
             rec = inequality_check(n, k)
             gap = rec.lhs - rec.rhs
             assert (dp > 0) == (gap > 0)
