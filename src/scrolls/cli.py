@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -132,11 +133,12 @@ def _run_bound(n, l):
     return payload, [], EXIT_OK
 
 
-def _probe(emb, a, b, order, samples, seed, tol):
-    """Probe the scroll of `emb` under the subgroup generated by (a + b*period)/order."""
+def _probe(emb, torsion, samples, seed, tol):
+    """Probe the scroll of `emb` under the group generated by (a + b*period)/order,
+    from torsion = (*a, *b, order) with genus entries in each of a and b."""
     from .theta import _check_group_order, cyclic_group, scroll_smoothness_probe, torsion_point
 
-    generator = torsion_point(emb, a, b, order)
+    generator = torsion_point(emb, torsion[:emb.genus], torsion[emb.genus:-1], torsion[-1])
     # an oversized order is refused before its points are built
     _check_group_order(emb, generator.actual_order)
     group = cyclic_group(emb, generator.point, generator.actual_order)
@@ -157,23 +159,19 @@ def _probe(emb, a, b, order, samples, seed, tol):
     return payload, warnings, code
 
 
-def _run_probe_elliptic(m, tau, torsion, **options):
+def _run_probe_elliptic(m, tau, **options):
     from .theta import elliptic_embedding
 
-    emb = elliptic_embedding(m, tau)
-    a, b, order = torsion
-    return _probe(emb, a, b, order, **options)
+    return _probe(elliptic_embedding(m, tau), **options)
 
 
-def _run_probe_surface(d, omega, torsion, **options):
+def _run_probe_surface(d, omega, **options):
     import numpy as np
 
     from .theta import surface_embedding
 
     o11, o12, o22 = omega
-    emb = surface_embedding(d, np.array([[o11, o12], [o12, o22]]))
-    a1, a2, b1, b2, order = torsion
-    return _probe(emb, (a1, a2), (b1, b2), order, **options)
+    return _probe(surface_embedding(d, np.array([[o11, o12], [o12, o22]])), **options)
 
 
 _HANDLERS = {
@@ -287,54 +285,49 @@ def _write_span(rows: list, out, template, strip: int = 0) -> tuple:
 
 def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> None:
     """Write the sweep's records (see _write_span); set the classification
-    flag and the equality set.  From _FORK_MIN_PAIRS on, forked children write
-    all spans but the first into temp files, which the parent copies to `out`
-    after its own, in order: the bytes do not depend on the CPU count."""
+    flag and the equality set.  From _FORK_MIN_PAIRS on, a forked child writes
+    each span but the first: its records into one temp file, which the parent
+    copies to `out` after its own, in order, and its summary into a second.
+    The bytes do not depend on the CPU count."""
     payload = envelope.payload
     ns, ks = payload["records"]
     fork = hasattr(os, "fork") and len(ns) * len(ks) >= _FORK_MIN_PAIRS
     first, *rest = _spans(ns, ks, _cpu_count() if fork else 1)
-    children = []  # (pid, summary pipe, temp file) of each child not yet reaped
-    try:
-        for rows in rest:
-            handle = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # never returns: it would flush the parent's buffers, run its cleanup
-                status = 1
-                try:
-                    os.close(read_fd)  # the pipe breaks if the parent dies
-                    summary = _write_span(rows, handle, template)
-                    handle.flush()
-                    with open(write_fd, "w") as pipe:
-                        json.dump(summary, pipe)
-                    status = 0
-                except BaseException:
-                    sys.excepthook(*sys.exc_info())  # before os._exit drops it
-                    raise
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, open(read_fd), handle))
-        summaries = [_write_span(first, out, template, strip)]
-        while children:
-            pid, pipe, handle = children[0]
-            summary = pipe.read()  # to EOF first: the pairs may exceed the pipe buffer
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            with pipe, handle:
+    children = []  # (pid, records file, summary file) of each child not yet reaped
+    with contextlib.ExitStack() as files:  # closes every temp file, however the run ends
+        try:
+            for rows in rest:
+                records, summary = (files.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline="")) for _ in range(2))
+                pid = os.fork()
+                if pid == 0:  # never returns: it would flush the parent's buffers, run its cleanup
+                    status = 1
+                    try:
+                        json.dump(_write_span(rows, records, template), summary)
+                        records.flush()
+                        summary.flush()
+                        status = 0
+                    except BaseException:
+                        sys.excepthook(*sys.exc_info())  # before os._exit drops it
+                        raise
+                    finally:
+                        os._exit(status)
+                children.append((pid, records, summary))
+            summaries = [_write_span(first, out, template, strip)]
+            while children:
+                pid, records, summary = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
                 if status:
                     raise RuntimeError(f"sweep span process {pid} failed, wait status {status}")
-                handle.seek(0)
-                while chunk := handle.read(1 << 18):
-                    out.write(chunk)
-            summaries.append(json.loads(summary))
-    finally:
-        for pid, pipe, handle in children:  # left only when the run failed
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            pipe.close()
-            handle.close()
+                records.seek(0)
+                shutil.copyfileobj(records, out)
+                summary.seek(0)
+                summaries.append(json.load(summary))
+        finally:
+            for pid, *_ in children:  # left only when the run failed
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
     holds, exceptions = zip(*summaries)
     exceptions = set(map(tuple, itertools.chain(*exceptions)))
     payload["classification_holds"] = all(holds)

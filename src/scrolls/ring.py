@@ -18,6 +18,7 @@ at most c_cap + h_cap + 1 factors multiplied out for a nilpotent element.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,39 +60,18 @@ def _canon(value: Rational) -> Rational:
     return frac.numerator if frac.denominator == 1 else frac
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TruncPoly:
     """Immutable element of the truncated ring, in canonical sparse form.
 
     Construct through :func:`make_poly`; the dataclass constructor assumes the
-    coefficient map is already canonical (validated, no zeros).
+    coefficient map is already canonical (validated, no zeros), so equality of
+    the (shape, coeffs) fields is equality in the ring.  The dict field makes
+    an element unhashable.
     """
 
     shape: RingShape
     coeffs: dict
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.shape == other.shape and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return add(self, other.__neg__())
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(self.shape, {m: -v for m, v in self.coeffs.items()})
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        return mul(self, other)
-
-    def __pow__(self, exponent: int) -> "TruncPoly":
-        return power_signed(self, exponent)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -108,6 +88,13 @@ class TruncPoly:
         return self.coeffs.get((0, 0), 0)
 
 
+def _check_index(shape: RingShape, i: int, j: int) -> None:
+    if not (0 <= i <= shape.c_cap and 0 <= j <= shape.h_cap):
+        raise ExponentRangeError(
+            f"index ({i}, {j}) outside shape c_cap={shape.c_cap}, h_cap={shape.h_cap}"
+        )
+
+
 def make_poly(shape: RingShape, terms: Iterable[tuple[int, int, Rational]]) -> TruncPoly:
     """Build a polynomial from (i, j, coefficient) terms; duplicates are summed.
 
@@ -116,12 +103,8 @@ def make_poly(shape: RingShape, terms: Iterable[tuple[int, int, Rational]]) -> T
     """
     acc: dict = {}
     for i, j, value in terms:
-        if not (0 <= i <= shape.c_cap and 0 <= j <= shape.h_cap):
-            raise ExponentRangeError(
-                f"exponent ({i}, {j}) outside shape c_cap={shape.c_cap}, h_cap={shape.h_cap}"
-            )
-        key = (i, j)
-        acc[key] = acc.get(key, 0) + _canon(value)
+        _check_index(shape, i, j)
+        acc[i, j] = acc.get((i, j), 0) + _canon(value)
     return TruncPoly(shape, {k: _canon(v) for k, v in acc.items() if v != 0})
 
 
@@ -136,14 +119,8 @@ def one(shape: RingShape) -> TruncPoly:
 def add(a: TruncPoly, b: TruncPoly) -> TruncPoly:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    out = dict(a.coeffs)
-    for key, value in b.coeffs.items():
-        s = out.get(key, 0) + value
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = _canon(s)
-    return TruncPoly(a.shape, out)
+    terms = itertools.chain(a.coeffs.items(), b.coeffs.items())
+    return make_poly(a.shape, ((i, j, v) for (i, j), v in terms))
 
 
 def mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
@@ -164,13 +141,6 @@ def mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
             key = (i, j)
             out[key] = out.get(key, 0) + v1 * v2
     return TruncPoly(a.shape, {k: _canon(v) for k, v in out.items() if v != 0})
-
-
-def _check_index(shape: RingShape, i: int, j: int) -> None:
-    if not (0 <= i <= shape.c_cap and 0 <= j <= shape.h_cap):
-        raise ExponentRangeError(
-            f"index ({i}, {j}) outside shape c_cap={shape.c_cap}, h_cap={shape.h_cap}"
-        )
 
 
 def product_coefficient(a: TruncPoly, b: TruncPoly, i: int, j: int) -> Rational:

@@ -399,11 +399,11 @@ def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list
     return [_torus_point(emb, row) for row in np.cumsum(steps, axis=0)]
 
 
-def _check_group(emb: ThetaEmbedding, group, tol: float = 1e-12) -> None:
+def _check_group(emb: ThetaEmbedding, group) -> None:
     """Refuse a point set not closed modulo the lattice: all k^3 p + q - r at once."""
     rows = _rows(emb, group)
     sums = rows[:, None, None] + rows[None, :, None] - rows[None, None, :]  # (p, q, r, genus)
-    if _distances(emb, sums.reshape(-1, emb.genus)).reshape(sums.shape[:3]).min(axis=2).max() > tol:
+    if _distances(emb, sums.reshape(-1, emb.genus)).reshape(sums.shape[:3]).min(axis=2).max() > 1e-12:
         raise ValueError("point set is not closed under addition modulo the lattice")
 
 
@@ -558,11 +558,8 @@ def scroll_smoothness_probe(
                 tangents[index] = raw / np.linalg.norm(raw)
         fibres, derivatives = translates(block, np.repeat(tangents, k, axis=0))
         # a point whose sections vanish has zero rows; a fibre with one counts
-        # one inconclusive and gets no later probe, nor are its partners summed
-        live = fibres.any(axis=2).all(axis=1)
-        pairs = np.zeros_like(fibres)
-        pairs[live] = translates(partners[live])[0]
-        stacks = (fibres, np.concatenate([fibres, pairs], axis=1),
+        # one inconclusive and gets no later probe
+        stacks = (fibres, np.concatenate([fibres, translates(partners)[0]], axis=1),
                   np.concatenate([fibres, derivatives.reshape(fibres.shape)], axis=1))
         alive = np.ones(len(block), dtype=bool)  # bases decided by every probe kind so far
         for stack, expected in zip(stacks, (k, 2 * k, 2 * k)):
@@ -579,8 +576,9 @@ def scroll_smoothness_probe(
     )
 
 
-def _draw_partner(emb, shifts, base, rng, offset, attempts: int = 32) -> np.ndarray:
-    for _ in range(attempts):
+def _draw_partner(emb, shifts, base, rng, offset) -> np.ndarray:
+    """A random point 1e-3 clear of every translate of `base`; `base + offset` after 32 misses."""
+    for _ in range(32):
         candidate = _point_from_coords(emb, rng.random(2 * emb.genus))
         if _distances(emb, candidate - base - shifts).min() > 1e-3:
             return candidate

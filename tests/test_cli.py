@@ -83,6 +83,26 @@ def test_invariants_bad_geometry_is_config_error(capsys):
     assert env["payload"]["kind"] == "error"
 
 
+def test_engine_mismatch_is_a_failed_verification(capsys, monkeypatch):
+    # a closed form that disagrees with the ring engine is a failed check, not a usage error
+    monkeypatch.setattr(scrolls.invariants, "binomial", lambda a, b: -1)
+    code, env = run_cli_json(capsys, ["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14"])
+    message = "hyperplane power at (n=2, k=2): engine 3 != closed form -1"
+    assert code == 1
+    assert env["payload"] == {"kind": "error", "message": message}
+    assert env["warnings"] == [f"verification failed: {message}"]
+
+
+def test_family_member_with_double_points_is_a_failed_verification(capsys, monkeypatch):
+    forced = scrolls.invariants.build_report(scrolls.ScrollData(n=3, k=2, l=9, cn=54))
+    monkeypatch.setattr(scrolls.verifier, "build_report", lambda data: forced)
+    code, env = run_cli_json(capsys, ["family", "--k-max", "2"])
+    message = "family member k=2 has nonzero double point number 2592"
+    assert code == 1
+    assert env["payload"] == {"kind": "error", "message": message}
+    assert env["warnings"] == [f"verification failed: {message}"]
+
+
 def test_verify_json(capsys):
     code, env = run_cli_json(
         capsys, ["verify", "--n-min", "1", "--n-max", "4", "--k-min", "1", "--k-max", "3"]
@@ -389,8 +409,8 @@ def _no_equality_rows(ns, ks):
 
 
 def test_verify_many_exception_pairs_cross_the_summary_pipe():
-    # the child's 20000 exception pairs exceed a pipe buffer: the parent reads
-    # them before it waits for the child
+    # the child's 20000 exception pairs, more than a pipe buffer holds, reach
+    # the parent through the child's summary file
     result = _fresh_main(2, _grid_argv(range(1, 3), range(1, 20001)), "_no_equality_rows")
     assert result.returncode == 1, result.stderr
     payload = json.loads(result.stdout)["payload"]
@@ -889,9 +909,21 @@ def test_family_csv_columns(capsys):
 
 
 def test_text_format(capsys):
-    code, out = run_cli(
-        capsys, ["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14",
-                 "--format", "text"]
-    )
-    assert code == 0
-    assert "deg_Y=21" in out
+    # one line per kind of payload, and CSV's error rows, byte for byte
+    refused = "group order 4 too large for 7 sections: the immersion probe needs 2k <= section_count - 1"
+    cases = [
+        (["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14", "--format", "text"], 0,
+         "  n=2 k=2 l=7 cn=14: deg_Y=21 double_point=0 -> consistent-with-smooth\n"),
+        (["very-ample-bound", "--n", "3", "--l", "13", "--format", "text"], 0,
+         "  largest admissible odd k: 5\n"),
+        (["probe-elliptic", "--m", "9", "--torsion", "2,0,4", "--samples", "5", "--format", "text"], 0,
+         "  63 probes: 63 pass, 0 fail, 0 inconclusive; min margin 3.950e-02\n"
+         "  warning: torsion generator has exact order 2, not the requested 4; using the generated subgroup\n"),
+        (["probe-surface", "--d", "7", "--order", "4", "--format", "text"], 3,
+         f"  error: {refused}\n  warning: configuration error: {refused}\n"),
+    ]
+    for argv, expected_code, body in cases:
+        code, out = run_cli(capsys, argv)
+        assert (code, out) == (expected_code, f"scrolls {scrolls.__version__} :: {argv[0]}\n" + body)
+    code, out = run_cli(capsys, ["family", "--k-max", "1", "--format", "csv"])
+    assert (code, out) == (3, 'error\n"need k_max >= 2, got 1"\n')

@@ -59,6 +59,20 @@ def test_make_poly_rejects_out_of_range():
         make_poly(RingShape(1, 1), [(2, 0, 1)])
 
 
+def test_elements_are_plain_data():
+    # equality is that of the (shape, coeffs) fields; the dict keeps them unhashable
+    shape = RingShape(1, 1)
+    p = make_poly(shape, [(1, 0, 1), (0, 1, Fraction(1, 2))])
+    assert p == TruncPoly(shape, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    assert zero(shape) != zero(RingShape(1, 2))
+    total = add(p, make_poly(shape, [(0, 1, Fraction(1, 2))]))  # canonicalised by make_poly
+    assert total.coeffs == {(1, 0): 1, (0, 1): 1} and type(total.coeffs[0, 1]) is int
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+    with pytest.raises(TypeError):
+        p * p
+
+
 def test_mul_truncates_squares():
     shape = RingShape(1, 1)
     p = make_poly(shape, [(1, 0, 1), (0, 1, 1)])

@@ -127,6 +127,11 @@ def test_random_points_embed_distinctly():
             assert projective_residual(points[i], points[j]) > 2**0.5 * 1e-6
 
 
+def test_projective_residual_of_orthogonal_vectors_is_sqrt_two():
+    u, v = np.eye(3, dtype=complex)[:2]
+    assert projective_residual(u, v) == math.sqrt(2)
+
+
 def test_derivative_matches_finite_differences():
     emb = elliptic_embedding(5, TAU)
     step = 1e-5
@@ -338,6 +343,30 @@ def test_smoothness_probe_group_too_large():
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 3).point, 3)
     with pytest.raises(ValueError, match="group order"):
         scroll_smoothness_probe(emb, group, samples=5, seed=1)
+
+
+def test_probe_refuses_an_empty_group_and_negative_samples():
+    emb = elliptic_embedding(5, TAU)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="group order must be positive"):
+            cyclic_group(emb, 0.5 + 0j, order)
+    group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
+    with pytest.raises(ValueError, match="samples must be non-negative"):
+        scroll_smoothness_probe(emb, group, samples=-1, seed=0)
+
+
+def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
+    from scrolls import theta
+
+    emb = surface_embedding(7, OMEGA)
+    shifts = np.reshape(cyclic_group(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2), (2, 2))
+    base, offset = np.array([0.2 + 0.3j, 0.1 + 0.4j]), np.array([0.5 + 0.1j, 0.3 + 0.2j])
+    # every candidate lies on a translate of the base
+    monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(np.shape(points)[0]))
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(theta._draw_partner(emb, shifts, base, rng, offset), base + offset)
+    reference.random((32, 2 * emb.genus))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_smoothness_probe_genus2():
