@@ -50,8 +50,8 @@ from pathlib import Path
 
 from . import __version__
 from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report
-# theta, and numpy with it, is imported inside the probe handlers only, so the
-# exact commands start without loading numpy.
+# theta, and numpy with it, is imported inside _probe only, so the exact
+# commands start without loading numpy.
 from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep_records, very_ample_bound
 
 DEFAULT_SEED = 42
@@ -73,9 +73,6 @@ class ReportEnvelope:
     params: dict
     payload: dict
     warnings: list
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def _report_dict(report: ScrollReport) -> dict:
@@ -133,12 +130,15 @@ def _run_bound(n, l):
     return payload, [], EXIT_OK
 
 
-def _probe(emb, torsion, samples, seed, tol):
-    """Probe the scroll of `emb` under the group generated by (a + b*period)/order,
-    from torsion = (*a, *b, order) with genus entries in each of a and b."""
-    from .theta import _check_group_order, cyclic_group, scroll_smoothness_probe, torsion_point
+def _probe(genus, period, degree, torsion, samples, seed, tol):
+    """Probe the scroll of the genus-`genus` theta embedding with `degree`
+    sections under the group generated by (a + b*period)/order, from
+    torsion = (*a, *b, order) with genus entries in each of a and b."""
+    from .theta import (ThetaEmbedding, _check_group_order, cyclic_group, scroll_smoothness_probe,
+                        torsion_point)
 
-    generator = torsion_point(emb, torsion[:emb.genus], torsion[emb.genus:-1], torsion[-1])
+    emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
+    generator = torsion_point(emb, torsion[:genus], torsion[genus:-1], torsion[-1])
     # an oversized order is refused before its points are built
     _check_group_order(emb, generator.actual_order)
     group = cyclic_group(emb, generator.point, generator.actual_order)
@@ -160,18 +160,12 @@ def _probe(emb, torsion, samples, seed, tol):
 
 
 def _run_probe_elliptic(m, tau, **options):
-    from .theta import elliptic_embedding
-
-    return _probe(elliptic_embedding(m, tau), **options)
+    return _probe(genus=1, period=tau, degree=m, **options)
 
 
 def _run_probe_surface(d, omega, **options):
-    import numpy as np
-
-    from .theta import surface_embedding
-
     o11, o12, o22 = omega
-    return _probe(surface_embedding(d, np.array([[o11, o12], [o12, o22]])), **options)
+    return _probe(genus=2, period=[[o11, o12], [o12, o22]], degree=d, **options)
 
 
 _HANDLERS = {
@@ -236,7 +230,7 @@ def run(command: str, **params) -> tuple[ReportEnvelope, int]:
 
 _RECORD_JSON = (',\n      {\n        "n": %d,\n        "k": %d,\n        "lhs": "%d",\n'
                 '        "rhs": "%d",\n        "relation": "%s"\n      }')
-_PAIR_JSON = "      [\n        %d,\n        %d\n      ]"
+_PAIR_JSON = ",\n      [\n        %d,\n        %d\n      ]"
 
 # Grids of fewer pairs are written in one process: on 2 CPUs, a forked second
 # writer broke even at 4,000 to 5,000 pairs of rows from n = 3 (medians of 25).
@@ -349,33 +343,25 @@ def _complex_json(value) -> list:
 def write_json(envelope: ReportEnvelope, out) -> None:
     payload = envelope.payload
     if payload.get("kind") != "sweep":
-        out.write(json.dumps(envelope.to_dict(), indent=2, default=_complex_json) + "\n")
+        out.write(json.dumps(vars(envelope), indent=2, default=_complex_json) + "\n")
         return
 
     def around_lists() -> list:
         # "\0" (JSON "\u0000") marks the two lists; no other field can hold it
-        data = dict(envelope.to_dict(), payload=dict(payload, records="\0", equality_set="\0"))
+        data = dict(vars(envelope), payload=dict(payload, records="\0", equality_set="\0"))
         return json.dumps(data, indent=2, default=_complex_json).split('"\\u0000"')
 
-    def write_list(template, rows) -> None:
-        # rows: an iterator of tuples; those after the first carry the separator
-        first = next(rows, None)
-        if first is None:
-            out.write("[]")
-        else:
-            out.write("[\n" + template % first)
-            out.writelines(map((",\n" + template).__mod__, rows))
-            out.write("\n    ]")
-
+    # each record and pair carries its ",\n" separator; the first one's comma is dropped
     out.write(around_lists()[0] + "[")
-    # each record carries its ",\n" separator; strip=1 drops the first comma
     _write_records(envelope, out, _RECORD_JSON, strip=1)
     out.write("\n    ]")
     # the fields after the records, and the equality set, are final only now
     _, between, after = around_lists()
-    out.write(between)
-    write_list(_PAIR_JSON, payload["equality_set"])
-    out.write(after + "\n")
+    pairs = map(_PAIR_JSON.__mod__, payload["equality_set"])
+    first = next(pairs, "")
+    out.write(between + "[" + first[1:])
+    out.writelines(pairs)
+    out.write(("\n    ]" if first else "]") + after + "\n")
 
 
 # CSV columns of the one-table kinds; a scroll report has a row per report,

@@ -449,39 +449,35 @@ def span_rank(vectors, tol: float = HARD_TOL):
     return int(ranks[0]), float(margins[0])
 
 
-def _verdicts(ratios, ranks, expected_rank: int) -> np.ndarray:
-    """Index into _VERDICTS of each member, from its ratio at expected_rank, a probe's row count."""
-    decisive = ratios[:, expected_rank - 1]
-    passed = (decisive > GRAY_HIGH) & (ranks == expected_rank)
+def _verdicts(ratios, ranks) -> np.ndarray:
+    """Index into _VERDICTS of each member, from its last ratio: every probe
+    stack has as many rows as the rank it expects, and fewer than its columns."""
+    decisive = ratios[:, -1]
+    passed = (decisive > GRAY_HIGH) & (ranks == ratios.shape[1])
     return np.where((GRAY_LOW <= decisive) & (decisive <= GRAY_HIGH), 2, np.where(passed, 0, 1))
 
 
 def very_ampleness_cluster_probe(
     emb: ThetaEmbedding,
     points: Sequence[TorusPoint],
-    with_derivatives: bool,
     tangent=None,
     tol: float = HARD_TOL,
 ) -> ClusterProbe:
     """Rank probe for a sampled cluster.
 
-    Without derivatives the cluster is the listed points and the probe checks
-    that their coordinate vectors are independent.  With derivatives the
-    cluster doubles each listed point infinitesimally: the probe stacks the
-    value vectors z_i and the derivative vectors z_i' along `tangent` and
-    checks for rank 2*len(points); a drop detects a non-immersive direction.
-    All rows come from one _embed call.
+    Without a tangent the cluster is the listed points and the probe checks
+    that their coordinate vectors are independent.  A tangent, one direction
+    or one per point as for theta_basis_eval, doubles each listed point
+    infinitesimally: the probe stacks the value vectors z_i and the derivative
+    vectors z_i' along it and checks for rank 2*len(points); a drop detects a
+    non-immersive direction.  All rows come from one _embed call.
     """
-    length = len(points) * (2 if with_derivatives else 1)
+    length = len(points) * (1 if tangent is None else 2)
     if length > emb.degree - 1:
         raise ValueError(
             f"cluster length {length} exceeds section_count-1 = {emb.degree - 1}; "
             "independence is not expected"
         )
-    if not with_derivatives:
-        tangent = None
-    elif tangent is None:
-        tangent = np.eye(emb.genus)[0]  # along the first coordinate
     coords, derivatives = _embed(emb, points, tangent)
     rows = coords if derivatives is None else np.concatenate([coords, derivatives])
     ratios, ranks, margins = _rank_one(rows, tol, EvaluationError)
@@ -491,7 +487,7 @@ def very_ampleness_cluster_probe(
         expected_rank=length,
         observed_rank=int(ranks[0]),
         margin=float(margins[0]),
-        verdict=_VERDICTS[_verdicts(ratios, ranks, length)[0]],
+        verdict=_VERDICTS[_verdicts(ratios, ranks)[0]],
     )
 
 
@@ -562,9 +558,9 @@ def scroll_smoothness_probe(
         stacks = (fibres, np.concatenate([fibres, translates(partners)[0]], axis=1),
                   np.concatenate([fibres, derivatives.reshape(fibres.shape)], axis=1))
         alive = np.ones(len(block), dtype=bool)  # bases decided by every probe kind so far
-        for stack, expected in zip(stacks, (k, 2 * k, 2 * k)):
+        for stack in stacks:
             decided, ratios, ranks, margins = _rank(stack[alive], tol)
-            counts += np.bincount(_verdicts(ratios, ranks, expected), minlength=3)
+            counts += np.bincount(_verdicts(ratios, ranks), minlength=3)
             counts[2] += np.count_nonzero(~decided)
             min_margin = min(min_margin, margins.min(initial=np.inf))
             alive[alive] = decided

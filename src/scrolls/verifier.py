@@ -135,9 +135,8 @@ def very_ample_bound(n: int, l: int) -> int:
         raise ValueError(f"the bound applies to dimension n >= 3, got n={n}")
     if l <= 2 * n + 1:
         raise ValueError(f"need l > 2n+1 = {2 * n + 1}, got l={l}")
-    cap = l - 2 * n
-    k = cap - 1 if cap % 2 == 0 else cap - 2
-    return max(k, 1)
+    cap = l - 2 * n  # at least 2 here
+    return cap - 1 if cap % 2 == 0 else cap - 2
 
 
 def conjecture_family_report(k_max: int) -> list[ScrollReport]:

@@ -93,6 +93,17 @@ def test_engine_mismatch_is_a_failed_verification(capsys, monkeypatch):
     assert env["warnings"] == [f"verification failed: {message}"]
 
 
+def test_top_chern_mismatch_is_a_failed_verification(capsys, monkeypatch):
+    # the second engine extraction's own check, reached once the first agrees
+    product = scrolls.invariants.product_coefficient
+    monkeypatch.setattr(scrolls.invariants, "product_coefficient", lambda *args: product(*args) + 1)
+    code, env = run_cli_json(capsys, ["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14"])
+    message = "top Chern coefficient at (n=2, k=2, l=7): engine 64 != closed form 63"
+    assert code == 1
+    assert env["payload"] == {"kind": "error", "message": message}
+    assert env["warnings"] == [f"verification failed: {message}"]
+
+
 def test_family_member_with_double_points_is_a_failed_verification(capsys, monkeypatch):
     forced = scrolls.invariants.build_report(scrolls.ScrollData(n=3, k=2, l=9, cn=54))
     monkeypatch.setattr(scrolls.verifier, "build_report", lambda data: forced)
@@ -699,6 +710,29 @@ def test_malformed_complex_flag_exits_three(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["probe-elliptic", "--m", "9", "--torsion", "1,0"], "expected 3 comma-separated integers"),
+    (["probe-surface", "--d", "7", "--omega", "0,1;0,0"], "expected 'o11;o12;o22' with each entry 're,im'"),
+])
+def test_malformed_torsion_or_omega_flag_exits_three(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_probe_without_a_pairing_offset_is_a_config_error(monkeypatch):
+    import numpy as np
+
+    from scrolls import theta
+
+    # every point on the lattice: the group is closed, but no offset clears it
+    monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(len(theta._rows(emb, points))))
+    envelope, code = run("probe-elliptic", m=9, tau=1j, torsion=(1, 0, 4), samples=1, seed=1, tol=1e-8)
+    assert code == 3
+    assert envelope.payload["message"] == "could not find a pairing offset away from the subgroup"
+
+
 @pytest.mark.parametrize("argv", [
     ["probe-elliptic", "--m", "5", "--tau", "inf,1"],
     ["probe-elliptic", "--m", "5", "--tau", "0,inf"],
@@ -832,9 +866,16 @@ def test_params_echo_each_flag_in_parser_order(capsys, argv, params):
 def test_envelope_fields_and_renderers():
     envelope, code = run("very-ample-bound", n=3, l=13)
     assert code == 0
-    data = envelope.to_dict()
+    data = vars(envelope)
     assert set(data) == {"version", "command", "timestamp", "params", "payload", "warnings"}
     assert render_json(envelope).endswith("\n")
+
+
+def test_json_refuses_a_param_it_cannot_serialise():
+    envelope, _ = run("very-ample-bound", n=3, l=13)
+    envelope.params["l"] = Fraction(13)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        render_json(envelope)
 
 
 def test_output_file_written_atomically(tmp_path, capsys):

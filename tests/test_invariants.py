@@ -42,6 +42,15 @@ def test_top_chern_rejects_small_ambient():
         top_chern_normal(2, 2, 3)
 
 
+@pytest.mark.parametrize("extraction, args", [
+    (hyperplane_power_coefficient, (0, 2)),
+    (top_chern_normal, (2, 0, 5)),
+])
+def test_engine_extractions_refuse_n_or_k_below_one(extraction, args):
+    with pytest.raises(ValueError, match=r"need n >= 1 and k >= 1, got "):
+        extraction(*args)
+
+
 def test_top_chern_general_l_closed_form():
     # independent recomputation of C(l, n) * [h^(k-1)] (1+h)^(l-n-k)
     for n in range(1, 7):

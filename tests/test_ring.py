@@ -99,6 +99,15 @@ def test_mul_shape_mismatch():
         mul(one(RingShape(1, 1)), one(RingShape(1, 2)))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: RingShape(-1, 0), ValueError, "caps must be non-negative, "),
+    (lambda: add(one(RingShape(1, 1)), one(RingShape(2, 1))), ShapeMismatchError, "shapes differ"),
+])
+def test_negative_caps_and_mixed_shapes_are_refused(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_inverse_geometric_series():
     shape = RingShape(0, 2)
     p = make_poly(shape, [(0, 0, 1), (0, 1, 1)])

@@ -260,7 +260,7 @@ def test_span_rank_examples():
 def test_fibre_independence_quintic():
     emb = elliptic_embedding(5, TAU)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
-    probe = very_ampleness_cluster_probe(emb, [0.31 + 0.17j + rho for rho in group], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [0.31 + 0.17j + rho for rho in group])
     assert probe.verdict == "pass"
     assert probe.observed_rank == probe.expected_rank == 2
 
@@ -268,14 +268,14 @@ def test_fibre_independence_quintic():
 def test_fibre_independence_septic_order_three():
     emb = elliptic_embedding(7, TAU)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 3).point, 3)
-    probe = very_ampleness_cluster_probe(emb, [0.05 + 0.81j + rho for rho in group], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [0.05 + 0.81j + rho for rho in group])
     assert probe.verdict == "pass"
     assert probe.observed_rank == 3
 
 
 def test_fibre_independence_trivial_group():
     emb = elliptic_embedding(5, TAU)
-    probe = very_ampleness_cluster_probe(emb, [0.4 + 0.2j], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [0.4 + 0.2j])
     assert probe.verdict == "pass"
     assert probe.expected_rank == 1
 
@@ -289,9 +289,7 @@ def test_group_closure_enforced():
 def test_cluster_probe_two_fibres():
     emb = elliptic_embedding(5, TAU)
     p, q = 0.12 + 0.61j, 0.77 + 0.29j
-    probe = very_ampleness_cluster_probe(
-        emb, [p, p + 0.5, q, q + 0.5], with_derivatives=False
-    )
+    probe = very_ampleness_cluster_probe(emb, [p, p + 0.5, q, q + 0.5])
     assert probe.verdict == "pass"
     assert probe.observed_rank == 4
 
@@ -299,17 +297,35 @@ def test_cluster_probe_two_fibres():
 def test_cluster_probe_with_derivatives():
     emb = elliptic_embedding(5, TAU)
     p = 0.12 + 0.61j
-    probe = very_ampleness_cluster_probe(emb, [p, p + 0.5], with_derivatives=True)
+    probe = very_ampleness_cluster_probe(emb, [p, p + 0.5], tangent=1.0)
     assert probe.verdict == "pass"
     assert probe.expected_rank == 4
     assert probe.observed_rank == 4
     assert all(point.derivative is not None for point in probe.points)
 
 
+@pytest.mark.parametrize("make, points, direction", [
+    (lambda: elliptic_embedding(7, TAU), [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], 1.0),
+    (lambda: surface_embedding(7, OMEGA),
+     list(np.array([[0.3 + 0.71j, 2.11 + 0.4j], [0.65 + 0.32j, 5.48 + 0.98j], [0.64 + 1.05j, 0.33 + 0.79j]])),
+     np.array([0.6, 0.8j])),
+])
+def test_cluster_probe_takes_one_tangent_per_point(make, points, direction):
+    emb = make()
+    single = very_ampleness_cluster_probe(emb, points, tangent=direction)
+    # the same direction once per point: shape (3,) in genus 1, (3, 2) in genus 2
+    per_point = very_ampleness_cluster_probe(emb, points, tangent=np.array([direction] * len(points)))
+    assert single.verdict == "pass"
+    assert single.expected_rank == per_point.expected_rank == 2 * len(points)
+    assert (per_point.observed_rank, per_point.verdict) == (single.observed_rank, single.verdict)
+    assert float.hex(per_point.margin) == float.hex(single.margin)
+    assert all(point.derivative is not None for point in per_point.points)
+
+
 def test_cluster_probe_duplicate_point_fails():
     emb = elliptic_embedding(5, TAU)
     p = 0.4 + 0.33j
-    probe = very_ampleness_cluster_probe(emb, [p, p], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [p, p])
     assert probe.verdict == "fail"
     assert probe.observed_rank == 1
 
@@ -317,11 +333,9 @@ def test_cluster_probe_duplicate_point_fails():
 def test_cluster_probe_rejects_overlong_cluster():
     emb = elliptic_embedding(5, TAU)
     with pytest.raises(ValueError, match="cluster length"):
-        very_ampleness_cluster_probe(
-            emb, [0.1j, 0.2j, 0.3j, 0.4j, 0.5j], with_derivatives=False
-        )
+        very_ampleness_cluster_probe(emb, [0.1j, 0.2j, 0.3j, 0.4j, 0.5j])
     with pytest.raises(ValueError, match="cluster length"):
-        very_ampleness_cluster_probe(emb, [0.1j, 0.2j, 0.3j], with_derivatives=True)
+        very_ampleness_cluster_probe(emb, [0.1j, 0.2j, 0.3j], tangent=1.0)
 
 
 def test_smoothness_probe_deterministic_and_clean():
@@ -384,13 +398,13 @@ def test_probe_gray_zone_is_inconclusive():
     # zone and must not be reported as pass or fail
     emb = elliptic_embedding(5, TAU)
     p = 0.4 + 0.33j
-    probe = very_ampleness_cluster_probe(emb, [p, p + 2e-8], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [p, p + 2e-8])
     assert probe.verdict == "inconclusive"
 
 
 def test_cluster_probe_points_are_unit_norm():
     emb = elliptic_embedding(5, TAU)
-    probe = very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j], with_derivatives=False)
+    probe = very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j])
     assert isinstance(probe, ClusterProbe)
     for point in probe.points:
         assert np.linalg.norm(point.coords) == pytest.approx(1.0, abs=1e-12)
@@ -413,9 +427,7 @@ def test_any_m_minus_one_points_independent():
 def test_infinitely_near_cluster_of_length_m_minus_one():
     # m = 7: three distinct points doubled by derivative rows, length 6 <= 6
     emb = elliptic_embedding(7, TAU)
-    probe = very_ampleness_cluster_probe(
-        emb, [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], with_derivatives=True
-    )
+    probe = very_ampleness_cluster_probe(emb, [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], tangent=1.0)
     assert probe.verdict == "pass"
     assert probe.observed_rank == 6
 
@@ -650,7 +662,7 @@ def test_points_whose_sections_vanish_are_refused(monkeypatch):
     with pytest.raises(EvaluationError, match="all sections vanish"):
         theta_basis_eval(emb, 0.3 + 0.4j)
     with pytest.raises(EvaluationError, match="zero vectors"):
-        very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j], with_derivatives=False)
+        very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j])
 
 
 # ------------------------------------ one lattice sum, box and stacked ranks
@@ -787,10 +799,10 @@ def test_stacked_verdicts_match_the_scalar_rule():
                        [1.0, 0.5, GRAY_HIGH], [1.0, 0.5, GRAY_LOW], [1.0, 0.5, np.nan],
                        [1.0, 1e-9, 0.0]])
     ranks = np.array([3, 3, 2, 3, 2, 2, 1])
-    for expected in (1, 2, 3):
-        verdicts = [_VERDICTS[v] for v in _verdicts(ratios, ranks, expected)]
+    for expected in (1, 2, 3):  # a stack of `expected` rows has that many ratios
+        verdicts = [_VERDICTS[v] for v in _verdicts(ratios[:, :expected], ranks)]
         assert verdicts == [scalar(r, rank, expected) for r, rank in zip(ratios, ranks)]
-    assert _verdicts(ratios[:0], ranks[:0], 2).shape == (0,)
+    assert _verdicts(ratios[:0, :2], ranks[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("make, order", [(lambda: elliptic_embedding(9, 0.3 + 0.9j), 4),

@@ -149,6 +149,17 @@ def test_very_ample_bound_rejections():
         very_ample_bound(3, 7)  # l must exceed 2n+1
 
 
+def test_very_ample_bound_at_cap_three():
+    # cap = l - 2n = 3, the least odd cap the l > 2n+1 refusal leaves (l = 8 is cap 2)
+    assert very_ample_bound(3, 9) == 1
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 0)])
+def test_termwise_check_refuses_n_or_k_below_one(n, k):
+    with pytest.raises(ValueError, match=f"need n >= 1 and k >= 1, got n={n}, k={k}"):
+        termwise_check(n, k)
+
+
 def test_family_reports():
     reports = conjecture_family_report(10)
     assert len(reports) == 9
