@@ -143,10 +143,10 @@ def _probe(genus, period, degree, torsion, samples, seed, tol):
     _check_group_order(emb, generator.actual_order)
     group = cyclic_group(emb, generator.point, generator.actual_order)
     warnings = []
-    if not generator.exact_order:
+    if generator.actual_order != abs(torsion[-1]):
         warnings.append(
             f"torsion generator has exact order {generator.actual_order}, "
-            f"not the requested {generator.requested_order}; using the generated subgroup"
+            f"not the requested {abs(torsion[-1])}; using the generated subgroup"
         )
     summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed, tol=tol)
     payload = {"kind": "probe", **asdict(summary)}
@@ -280,50 +280,49 @@ def _write_span(rows: list, out, template, strip: int = 0) -> tuple:
 def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> None:
     """Write the sweep's records (see _write_span); set the classification
     flag and the equality set.  From _FORK_MIN_PAIRS on, a forked child writes
-    each span but the first: its records into one temp file, which the parent
-    copies to `out` after its own, in order, and its summary into a second.
+    each span but the first into one temp file, which the parent copies to
+    `out` after its own, in order.  The child exits 0 when its span's
+    classification holds, which leaves no exception pair, and 2 when it does
+    not; the parent then classifies that span's rows again, writing nothing.
     The bytes do not depend on the CPU count."""
     payload = envelope.payload
     ns, ks = payload["records"]
     fork = hasattr(os, "fork") and len(ns) * len(ks) >= _FORK_MIN_PAIRS
     first, *rest = _spans(ns, ks, _cpu_count() if fork else 1)
-    children = []  # (pid, records file, summary file) of each child not yet reaped
+    children = []  # (pid, rows, records file) of each child not yet reaped
     with contextlib.ExitStack() as files:  # closes every temp file, however the run ends
         try:
             for rows in rest:
-                records, summary = (files.enter_context(
-                    tempfile.TemporaryFile("w+", encoding="utf-8", newline="")) for _ in range(2))
+                records = files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                 pid = os.fork()
                 if pid == 0:  # never returns: it would flush the parent's buffers, run its cleanup
                     status = 1
                     try:
-                        json.dump(_write_span(rows, records, template), summary)
+                        holds, _ = _write_span(rows, records, template)
                         records.flush()
-                        summary.flush()
-                        status = 0
+                        status = 0 if holds else 2
                     except BaseException:
                         sys.excepthook(*sys.exc_info())  # before os._exit drops it
                         raise
                     finally:
                         os._exit(status)
-                children.append((pid, records, summary))
+                children.append((pid, rows, records))
             summaries = [_write_span(first, out, template, strip)]
             while children:
-                pid, records, summary = children[0]
+                pid, rows, records = children[0]
                 status = os.waitpid(pid, 0)[1]
                 del children[0]
-                if status:
+                if os.waitstatus_to_exitcode(status) not in (0, 2):
                     raise RuntimeError(f"sweep span process {pid} failed, wait status {status}")
                 records.seek(0)
                 shutil.copyfileobj(records, out)
-                summary.seek(0)
-                summaries.append(json.load(summary))
+                summaries.append(_write_span(rows, None, None) if status else (True, []))
         finally:
             for pid, *_ in children:  # left only when the run failed
                 os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
     holds, exceptions = zip(*summaries)
-    exceptions = set(map(tuple, itertools.chain(*exceptions)))
+    exceptions = set(itertools.chain(*exceptions))
     payload["classification_holds"] = all(holds)
     violated = "equality classification violated on this grid"
     if not all(holds) and violated not in envelope.warnings:  # once, however often rendered
@@ -514,6 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help=f"output file (relative paths use ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
 
+    def add_probe_flags(p):
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        add_output_flags(p)
+
     p = sub.add_parser("invariants", help="invariants of one scroll configuration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -546,10 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_complex_pair, default=complex(0, 1), help="period, 're,im'")
     p.add_argument("--torsion", type=_int_tuple(3), default=(1, 0, 2),
                    help="generator (a + b*tau)/order as 'a,b,order'")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_output_flags(p)
+    add_probe_flags(p)
 
     p = sub.add_parser("probe-surface", help="rank probes for an abelian-surface scroll")
     p.add_argument("--d", type=int, required=True, help="polarization type (1, d)")
@@ -560,10 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator (D*(a1,a2) + Omega*(b1,b2))/order as 'a1,a2,b1,b2,order'")
     p.add_argument("--order", type=int, default=2,
                    help="torsion order when --torsion is omitted (default generator D*(0,1)/order)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_output_flags(p)
+    add_probe_flags(p)
 
     return parser
 

@@ -15,19 +15,18 @@ coefficient extraction:
 
 The two engine extractions are C(n+k-1, k-1) (hyperplane_power_coefficient)
 and the c^n h^(k-1) coefficient of the total class (top_chern_normal).  Each
-is computed twice, once through the engine (Pascal steps in the top degree
-for the first, the ring's power recurrence for the second) and once from a
-closed form, and a mismatch raises EngineMismatchError (it would mean a bug
-in the engine, not bad input).  build_report runs each extraction once and
-derives all three invariants from the two results; the top Chern coefficient
-is read from the two factors of the total class without forming their full
-product.
+is computed twice, once through the engine and once from a closed form, and
+a mismatch raises EngineMismatchError (it would mean a bug in the engine, not
+bad input).  Both engine values come from power_signed: C(n+k-1, k-1) is the
+h^(k-1) coefficient of (1+h)^(n+k-1), and the top Chern coefficient is read
+from the two factors of the total class without forming their full product.
+build_report runs each extraction once and derives all three invariants from
+the two results.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -106,18 +105,15 @@ def _one_plus(shape: RingShape, c_coeff: int) -> TruncPoly:
 def hyperplane_power_coefficient(n: int, k: int) -> int:
     """Coefficient of c^n h^(k-1) in (c+h)^(n+k-1), which equals C(n+k-1, k-1).
 
-    The engine steps the homogeneous (c+h)^t to t = n+k-1 in the top degree
-    only, one multiplication by (c+h) (a Pascal step) at a time, and keeps
-    the coefficients of c^i h^(t-i) within the caps i <= n, t-i <= k-1.  It
+    (c+h)^(n+k-1) is homogeneous, so setting c = 1 leaves this coefficient at
+    h^(k-1) of (1+h)^(n+k-1).  The engine reads it from power_signed of the
+    unit 1+h, the one top_chern_normal raises to -k in the same shape, and
     is checked against the binomial closed form; both routes must agree
     exactly.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    row = [1]  # (c+h)^t from c^max(0, t-k+1) up to c^min(t, n)
-    for t in range(1, n + k):
-        row = list(map(operator.add, [0, *row], [*row, 0]))[t >= k:len(row) + (t <= n)]
-    (engine,) = row
+    engine = power_signed(_one_plus(RingShape(n, k - 1), 0), n + k - 1).coeffs.get((0, k - 1), 0)
     closed = binomial(n + k - 1, k - 1)
     if engine != closed:
         raise EngineMismatchError(

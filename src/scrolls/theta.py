@@ -55,6 +55,7 @@ narrows the next probe kind.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -112,6 +113,8 @@ class ThetaEmbedding:
         if g == 1:
             if not period.imag > 0:
                 raise ConfigurationError(f"Im(tau) must be positive, got {period}")
+            if self.degree > sys.float_info.max:  # scale * matrix below would overflow
+                raise ConfigurationError("degree exceeds the floating-point range")
             scale = self.degree
         elif period.shape != (g, g) or not np.allclose(period, period.T, atol=1e-14):
             raise ConfigurationError(f"genus-{g} period must be a symmetric {g}x{g} matrix")
@@ -155,7 +158,6 @@ class EmbeddedPoint:
     tangent direction was supplied, the matching derivative vector (scaled by
     the same factor as the coordinates)."""
 
-    base: TorusPoint
     coords: np.ndarray
     derivative: Optional[np.ndarray] = None
 
@@ -163,9 +165,7 @@ class EmbeddedPoint:
 @dataclass(frozen=True)
 class TorsionPoint:
     point: TorusPoint
-    requested_order: int
     actual_order: int
-    exact_order: bool
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def theta_basis_eval(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> Embedd
     if not coords.any():
         raise EvaluationError(f"all sections vanish at {z!r}")
     derivative = None if derivatives is None else derivatives[0]
-    return EmbeddedPoint(base=z, coords=coords[0], derivative=derivative)
+    return EmbeddedPoint(coords=coords[0], derivative=derivative)
 
 
 def projective_residual(u: np.ndarray, v: np.ndarray) -> float:
@@ -358,13 +358,13 @@ def lattice_distance(emb: ThetaEmbedding, z: TorusPoint) -> float:
 
 
 def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
-    """The torsion point (a + b*period)/order, with an exact-order flag.
+    """The torsion point (a + b*period)/order, with the order it actually has.
 
     For genus 1, a and b are integers; for genus g >= 2, integer g-tuples
     (components in the lattice basis D*Z^g + Omega*Z^g).  Components are
     reduced mod `order` exactly, which moves the point by a lattice vector
-    only.  The flag is true iff the point has order exactly `order`, i.e. gcd
-    of all components with order is 1.
+    only.  The actual order is |order| divided by the gcd of all components
+    with it.
     """
     if order == 0:
         raise ValueError("torsion order must be nonzero")
@@ -377,8 +377,7 @@ def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
         point = _torus_point(emb, _point_from_coords(emb, np.array(components, dtype=float))) / order
     except OverflowError:
         raise ValueError("torsion order exceeds the floating-point range") from None
-    g = math.gcd(*components, order)
-    return TorsionPoint(point=point, requested_order=order, actual_order=order // g, exact_order=g == 1)
+    return TorsionPoint(point=point, actual_order=order // math.gcd(*components, order))
 
 
 def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
@@ -483,7 +482,7 @@ def very_ampleness_cluster_probe(
     ratios, ranks, margins = _rank_one(rows, tol, EvaluationError)
     derivatives = [None] * len(coords) if derivatives is None else derivatives
     return ClusterProbe(
-        points=tuple(map(EmbeddedPoint, points, coords, derivatives)),
+        points=tuple(map(EmbeddedPoint, coords, derivatives)),
         expected_rank=length,
         observed_rank=int(ranks[0]),
         margin=float(margins[0]),

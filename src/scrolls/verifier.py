@@ -18,6 +18,7 @@ streaming rows computed by exact recurrence in k (TAOCP vol. 1 section 1.2.6).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -99,6 +100,8 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
         raise ValueError("sweep ranges must be nonempty")
     if n_values[0] < 1 or k_values[0] < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n_values[0]}, k={k_values[0]}")
+    if n_values[-1] > sys.maxsize:  # math.factorial refuses a larger n
+        raise ValueError(f"need n <= {sys.maxsize}, got n={n_values[-1]}")
 
     def rows():
         for n in n_values:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -419,9 +420,9 @@ def _no_equality_rows(ns, ks):
         yield rec._replace(relation="gt")
 
 
-def test_verify_many_exception_pairs_cross_the_summary_pipe():
-    # the child's 20000 exception pairs, more than a pipe buffer holds, reach
-    # the parent through the child's summary file
+def test_verify_parent_reclassifies_a_child_span_that_does_not_hold():
+    # the child's span holds 20000 exception pairs; the child exits 2, and the
+    # parent classifies that span's rows again to find them
     result = _fresh_main(2, _grid_argv(range(1, 3), range(1, 20001)), "_no_equality_rows")
     assert result.returncode == 1, result.stderr
     payload = json.loads(result.stdout)["payload"]
@@ -443,6 +444,13 @@ def _failing_at(pair):
 _failing_at_1_1, _failing_at_4_4 = _failing_at((1, 1)), _failing_at((4, 4))
 
 
+def _killed_at_4_4(ns, ks):
+    for rec in sweep_records(ns, ks):
+        if (rec.n, rec.k) == (4, 4):
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield rec
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_verify_failure_in_a_split_grid_keeps_previous_output(tmp_path, fmt):
     # main raises; a failed child is reported as a RuntimeError after the
@@ -458,6 +466,19 @@ def test_verify_failure_in_a_split_grid_keeps_previous_output(tmp_path, fmt):
         assert ("RuntimeError: sweep span process" in result.stderr) == (rows == "_failing_at_4_4")
         assert target.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_verify_killed_span_process_fails_the_run(tmp_path, cpus):
+    # a child killed by a signal exits with neither 0 nor 2
+    target = tmp_path / "sweep.json"
+    target.write_text("previous\n")
+    argv = _grid_argv(range(1, 7), range(1, 7)) + ["--output", str(target)]
+    result = _fresh_main(cpus, argv, "_killed_at_4_4")
+    assert result.returncode == 1, result.stderr  # not 4: no span process is left
+    assert re.search(r"RuntimeError: sweep span process \d+ failed, wait status 9\n", result.stderr)
+    assert target.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_family_reports_and_note(capsys):
@@ -489,6 +510,22 @@ def test_verify_inverted_range_is_config_error(capsys):
     )
     assert code == 3
     assert env["payload"]["kind"] == "error"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_n_beyond_the_factorial_range_is_config_error(capsys, fmt):
+    n = str(sys.maxsize + 1)
+    argv = ["verify", "--n-min", n, "--n-max", n, "--k-min", "1", "--k-max", "1", "--format", fmt]
+    code, out = run_cli(capsys, argv)
+    message = f"need n <= {sys.maxsize}, got n={n}"
+    assert code == 3
+    if fmt == "json":
+        assert json.loads(out)["payload"] == {"kind": "error", "message": message}
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(out))) == [["error"], [message]]
+    else:
+        assert out == (f"scrolls {scrolls.__version__} :: verify\n  error: {message}\n"
+                       f"  warning: configuration error: {message}\n")
 
 
 def test_verify_exact_above_int_string_limit(capsys):
@@ -762,6 +799,12 @@ def test_torsion_order_beyond_float_range_is_config_error(capsys, argv):
     code, env = run_cli_json(capsys, argv)
     assert code == 3
     assert env["warnings"] == ["configuration error: torsion order exceeds the floating-point range"]
+
+
+def test_elliptic_degree_beyond_float_range_is_config_error(capsys):
+    code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "1" + "0" * 400])
+    assert code == 3
+    assert env["payload"] == {"kind": "error", "message": "degree exceeds the floating-point range"}
 
 
 @pytest.mark.parametrize("argv", [

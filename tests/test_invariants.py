@@ -29,6 +29,8 @@ def test_hyperplane_power_grid_agrees_with_binomial():
     for n in range(1, 11):
         for k in range(1, 11):
             assert hyperplane_power_coefficient(n, k) == binomial(n + k - 1, k - 1)
+    for n, k in ((300, 300), (1000, 1), (1, 1000)):
+        assert hyperplane_power_coefficient(n, k) == binomial(n + k - 1, k - 1)
 
 
 def test_top_chern_examples():
@@ -143,7 +145,8 @@ def test_top_chern_normal_makes_no_ring_products(monkeypatch):
     monkeypatch.setattr(ring, "mul", counted)
     assert top_chern_normal(30, 30, 119) == binomial(119, 30) * binomial(59, 29)
     assert calls["mul"] == 0
-    # nor does the whole report: C(n+k-1, k-1) comes from Pascal steps
+    # nor does the whole report: C(n+k-1, k-1) is read from (1+h)^(n+k-1),
+    # another power of a unit
     for n, k in ((1, 1), (2, 1), (1, 5), (30, 30)):
         l = 2 * n + 2 * k - 1
         report = build_report(ScrollData(n, k, l, math.factorial(n) * l))

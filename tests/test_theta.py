@@ -67,6 +67,9 @@ def test_embedding_validation():
             elliptic_embedding(5, tau)
     with pytest.raises(ConfigurationError, match="finite"):
         surface_embedding(7, np.array([[complex(math.nan, 1), 0], [0, 1j]]))
+    # m * tau would overflow a complex
+    with pytest.raises(ConfigurationError, match="degree exceeds the floating-point range"):
+        elliptic_embedding(10**400, 1j)
 
 
 def test_truncation_radius_positive_and_scaling():
@@ -193,16 +196,14 @@ def test_torsion_point_examples():
     emb = elliptic_embedding(5, TAU)
     origin = torsion_point(emb, 0, 0, 4)
     assert origin.point == 0
-    assert not origin.exact_order
     assert origin.actual_order == 1
 
     half = torsion_point(emb, 1, 0, 2)
     assert half.point == 0.5
-    assert half.exact_order
+    assert half.actual_order == 2
 
     reduced = torsion_point(emb, 2, 0, 4)
     assert reduced.point == 0.5
-    assert not reduced.exact_order
     assert reduced.actual_order == 2
 
     # components beyond float precision move the point by a lattice vector only
@@ -216,17 +217,16 @@ def test_torsion_point_genus2():
     emb = surface_embedding(7, OMEGA)
     eps = torsion_point(emb, (0, 1), (0, 0), 2)
     assert np.allclose(eps.point, [0.0, 3.5])
-    assert eps.exact_order
+    assert eps.actual_order == 2
     assert lattice_distance(emb, 2 * np.asarray(eps.point)) < 1e-12
     mixed = torsion_point(emb, (0, 2), (2, 0), 4)
-    assert not mixed.exact_order
     assert mixed.actual_order == 2
     with pytest.raises(ValueError, match="4 integer components"):
         torsion_point(emb, 1, 0, 2)
     # components beyond int64 are reduced mod the order exactly
     huge = torsion_point(emb, (10**20, -(10**20) - 1), (0, 10**40), 2)
     assert np.array_equal(huge.point, eps.point)
-    assert huge.exact_order
+    assert huge.actual_order == 2
 
 
 def test_lattice_reduction():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,7 @@ def test_sweep_records_are_immutable_inequality_records():
     ([1, 2], [4, 0], "got n=1, k=0"),
     ([], [1], "nonempty"),
     ([1], range(3, 1), "nonempty"),
+    ([1, sys.maxsize + 1], [1], f"need n <= {sys.maxsize}, got n={sys.maxsize + 1}"),
 ])
 def test_sweep_records_validates_at_call_time(ns, ks, message):
     with pytest.raises(ValueError, match=message):
