@@ -134,21 +134,18 @@ def _probe(genus, period, degree, torsion, samples, seed, tol):
     """Probe the scroll of the genus-`genus` theta embedding with `degree`
     sections under the group generated by (a + b*period)/order, from
     torsion = (*a, *b, order) with genus entries in each of a and b."""
-    from .theta import (ThetaEmbedding, _check_group_order, cyclic_group, scroll_smoothness_probe,
-                        torsion_point)
+    from .theta import ThetaEmbedding, scroll_smoothness_probe, torsion_point
 
     emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
     generator = torsion_point(emb, torsion[:genus], torsion[genus:-1], torsion[-1])
-    # an oversized order is refused before its points are built
-    _check_group_order(emb, generator.actual_order)
-    group = cyclic_group(emb, generator.point, generator.actual_order)
     warnings = []
     if generator.actual_order != abs(torsion[-1]):
         warnings.append(
             f"torsion generator has exact order {generator.actual_order}, "
             f"not the requested {abs(torsion[-1])}; using the generated subgroup"
         )
-    summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed, tol=tol)
+    summary = scroll_smoothness_probe(emb, generator.point, generator.actual_order,
+                                      samples=samples, seed=seed, tol=tol)
     payload = {"kind": "probe", **asdict(summary)}
     if summary.fails:
         code = EXIT_FAILED

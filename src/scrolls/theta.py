@@ -40,15 +40,18 @@ The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
 fibres over points not differing by the subgroup must span independently, and
 the section values together with their first derivatives along a fibre must
-have full rank (the immersion condition).  Each torus point is evaluated once
-and shared by all three probes.  For a block of base points, all fibre points
-(with their bases' tangents) go through one pass of lattice sums of at most
-_TERMS terms each, their partners through another, and each probe kind's
-ranks are decided by one stacked SVD, by singular value ratios with a hard
-threshold and a gray zone that yields an "inconclusive" verdict rather than
-overclaiming.  A point whose sections all vanish gets zero rows, which leave
-only its own base undecided.  The verdicts of a stack are one array
-comparison, tallied by bincount, and a mask of the bases still decided
+have full rank (the immersion condition).  The subgroup is the paper's cyclic
+one, taken by its generator g and order k, which is refused when 2k exceeds
+sections - 1 and when it is not g's exact order: k distances show that k*g
+lies on the lattice and no earlier multiple does.  Each torus point is
+evaluated once and shared by all three probes.  For a block of base points,
+all fibre points (with their bases' tangents) go through one pass of lattice
+sums of at most _TERMS terms each, their partners through another, and each
+probe kind's ranks are decided by one stacked SVD, by singular value ratios
+with a hard threshold and a gray zone that yields an "inconclusive" verdict
+rather than overclaiming.  A point whose sections all vanish gets zero rows,
+which leave only its own base undecided.  The verdicts of a stack are one
+array comparison, tallied by bincount, and a mask of the bases still decided
 narrows the next probe kind.  Everything is deterministic for a fixed seed.
 """
 
@@ -122,7 +125,10 @@ class ThetaEmbedding:
             scale = 1
         # per-embedding constants of the lattice sum, computed once here
         matrix = np.reshape(period, (g, g))
-        omega = scale * matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = scale * matrix
+        if not np.all(np.isfinite(omega)):  # only m*tau can leave the float range
+            raise ConfigurationError("m*tau exceeds the floating-point range")
         eig_min = float(np.linalg.eigvalsh(omega.imag)[0])
         if eig_min <= 0:
             raise ConfigurationError("Im(period) must be positive definite")
@@ -241,9 +247,7 @@ def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray
     """d/dz of every section along `tangent`, one direction or one per point,
     (P, sections): the factor of each term is 2*pi*i*s*(u . tangent)."""
     if tangent is None:
-        if emb.genus != 1:
-            raise ValueError(f"genus-{emb.genus} derivatives need an explicit tangent {emb.genus}-vector")
-        tangent = 1.0
+        raise ValueError(f"genus-{emb.genus} derivatives need an explicit tangent {emb.genus}-vector")
     direction = _rows(emb, tangent)
     slopes = (direction @ emb._offsets).reshape(-1, *emb._quad.shape)
     slopes = slopes + (centres * direction).sum(axis=1)[:, None, None]
@@ -286,11 +290,8 @@ def theta_values(emb: ThetaEmbedding, z: TorusPoint) -> np.ndarray:
 
 
 def theta_derivatives(emb: ThetaEmbedding, z: TorusPoint, tangent=None) -> np.ndarray:
-    """Term-wise derivative of every section along a tangent direction.
-
-    For genus 1 the direction defaults to 1 (d/dz); for genus g >= 2 it must
-    be a complex g-vector.
-    """
+    """Term-wise derivative of every section along a tangent direction, a
+    complex number (genus 1) or complex g-vector, which must be given."""
     centres, terms, factor = _raw_terms(emb, z)
     return _derivative_sums(emb, centres, terms, tangent)[0] * factor
 
@@ -396,14 +397,6 @@ def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list
     steps = np.zeros((order, emb.genus), dtype=complex)
     steps[1:] = _rows(emb, generator)
     return [_torus_point(emb, row) for row in np.cumsum(steps, axis=0)]
-
-
-def _check_group(emb: ThetaEmbedding, group) -> None:
-    """Refuse a point set not closed modulo the lattice: all k^3 p + q - r at once."""
-    rows = _rows(emb, group)
-    sums = rows[:, None, None] + rows[None, :, None] - rows[None, None, :]  # (p, q, r, genus)
-    if _distances(emb, sums.reshape(-1, emb.genus)).reshape(sums.shape[:3]).min(axis=2).max() > 1e-12:
-        raise ValueError("point set is not closed under addition modulo the lattice")
 
 
 # -------------------------------------------------------------------- probes
@@ -512,12 +505,14 @@ def _grid_points(emb: ThetaEmbedding) -> np.ndarray:
 
 def scroll_smoothness_probe(
     emb: ThetaEmbedding,
-    group: Sequence[TorusPoint],
+    generator: TorusPoint,
+    order: int,
     samples: int,
     seed: int,
     tol: float = HARD_TOL,
 ) -> ProbeSummary:
-    """Sampled evidence for smoothness of the scroll defined by (emb, group).
+    """Sampled evidence for smoothness of the scroll defined by emb and the
+    cyclic subgroup generated by `generator`, of exact order `order`.
 
     At each of `samples` seeded random base points plus a fixed coarse grid,
     runs the fibre independence probe, the two-fibre span probe (partner point
@@ -526,12 +521,15 @@ def scroll_smoothness_probe(
     deterministic for fixed inputs.  Bases go in blocks of _BLOCK, and each
     block's partners and tangents are drawn before any of its points is summed.
     """
+    _check_group_order(emb, order)
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    k, g = len(group), emb.genus
-    _check_group_order(emb, k)
-    shifts = _rows(emb, group)
-    _check_group(emb, shifts)
+    k, g = order, emb.genus
+    shifts = _rows(emb, cyclic_group(emb, generator, order))
+    # k*g, the element after the last, lies on the lattice and no earlier multiple does
+    gaps = _distances(emb, np.concatenate([shifts[1:], shifts[-1:] + _rows(emb, generator)]))
+    if gaps[-1] > 1e-12 or gaps[:-1].min(initial=np.inf) <= 1e-12:
+        raise ValueError(f"generator does not have exact order {order} modulo the lattice")
     rng = np.random.default_rng(seed)
     bases = np.concatenate([_point_from_coords(emb, rng.random((samples, 2 * g))), _grid_points(emb)])
     offset = _pair_offset(emb, shifts)

@@ -91,9 +91,9 @@ def _ascending(values: Iterable[int]):
 def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[InequalityRecord]:
     """Inequality records for every (n, k) pair, yielded in (n, k) order.
 
-    The ranges are validated at call time.  Along a row lhs and rhs step from
-    k-1 to k by exact ratios of small ints, and are computed afresh at each
-    row start and k gap.
+    The ranges are validated at call time, n and k_max - k_min below
+    sys.maxsize included.  Along a row lhs and rhs step from k-1 to k by exact
+    ratios of small ints, and are computed afresh at each row start and k gap.
     """
     n_values, k_values = _ascending(n_range), _ascending(k_range)
     if not n_values or not k_values:
@@ -102,6 +102,8 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
         raise ValueError(f"need n >= 1 and k >= 1, got n={n_values[0]}, k={k_values[0]}")
     if n_values[-1] > sys.maxsize:  # math.factorial refuses a larger n
         raise ValueError(f"need n <= {sys.maxsize}, got n={n_values[-1]}")
+    if k_values[-1] - k_values[0] >= sys.maxsize:  # len() of a longer k range raises; n's cannot be
+        raise ValueError(f"need k_max - k_min < {sys.maxsize}, got k_max={k_values[-1]}")
 
     def rows():
         for n in n_values:

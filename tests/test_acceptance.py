@@ -16,7 +16,6 @@ from scrolls.cli import main
 from scrolls.invariants import ScrollData, build_report, top_chern_normal
 from scrolls.ring import RingShape, add, binomial, make_poly, mul, one, power_signed
 from scrolls.theta import (
-    cyclic_group,
     elliptic_embedding,
     projective_residual,
     scroll_smoothness_probe,
@@ -119,8 +118,8 @@ def test_criterion_07_elliptic_scroll_probes():
     details = []
     for m, order, samples in ((5, 2, 200), (7, 3, 100), (9, 4, 100)):
         emb = elliptic_embedding(m, 1j)
-        group = cyclic_group(emb, torsion_point(emb, 1, 0, order).point, order)
-        summary = scroll_smoothness_probe(emb, group, samples=samples, seed=42)
+        summary = scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, order).point, order,
+                                          samples=samples, seed=42)
         details.append(f"m={m}: margin {summary.min_margin:.2e}")
         if summary.fails or summary.inconclusives or not summary.min_margin > 1e-6:
             ok = False
@@ -142,7 +141,7 @@ def test_criterion_08_theta_numerics():
             ok = False
         if projective_residual(base, theta_basis_eval(emb, z + 1j).coords) >= 1e-9:
             ok = False
-        analytic = theta_derivatives(emb, z)
+        analytic = theta_derivatives(emb, z, 1)
         numeric = (theta_values(emb, z + step) - theta_values(emb, z - step)) / (2 * step)
         if np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic) >= 1e-6:
             ok = False

@@ -512,13 +512,7 @@ def test_verify_inverted_range_is_config_error(capsys):
     assert env["payload"]["kind"] == "error"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_verify_n_beyond_the_factorial_range_is_config_error(capsys, fmt):
-    n = str(sys.maxsize + 1)
-    argv = ["verify", "--n-min", n, "--n-max", n, "--k-min", "1", "--k-max", "1", "--format", fmt]
-    code, out = run_cli(capsys, argv)
-    message = f"need n <= {sys.maxsize}, got n={n}"
-    assert code == 3
+def assert_only_the_error(out, fmt, message):
     if fmt == "json":
         assert json.loads(out)["payload"] == {"kind": "error", "message": message}
     elif fmt == "csv":
@@ -526,6 +520,25 @@ def test_verify_n_beyond_the_factorial_range_is_config_error(capsys, fmt):
     else:
         assert out == (f"scrolls {scrolls.__version__} :: verify\n  error: {message}\n"
                        f"  warning: configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_n_beyond_the_factorial_range_is_config_error(capsys, fmt):
+    n = str(sys.maxsize + 1)
+    argv = ["verify", "--n-min", n, "--n-max", n, "--k-min", "1", "--k-max", "1", "--format", fmt]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert_only_the_error(out, fmt, f"need n <= {sys.maxsize}, got n={n}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_k_range_beyond_len_is_config_error(capsys, fmt):
+    # a range of more than sys.maxsize values has no len(): refused before any output
+    k_max = "100000000000000000000"
+    argv = ["verify", "--n-min", "1", "--n-max", "1", "--k-min", "1", "--k-max", k_max, "--format", fmt]
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert_only_the_error(out, fmt, f"need k_max - k_min < {sys.maxsize}, got k_max={k_max}")
 
 
 def test_verify_exact_above_int_string_limit(capsys):
@@ -763,8 +776,15 @@ def test_probe_without_a_pairing_offset_is_a_config_error(monkeypatch):
 
     from scrolls import theta
 
-    # every point on the lattice: the group is closed, but no offset clears it
-    monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(len(theta._rows(emb, points))))
+    distances = theta._distances
+
+    def offsets_on_the_group(emb, points):
+        # the pairing offset's 64 candidates against the 4 elements all on the
+        # lattice; the exact-order check's 4 multiples measured as they are
+        gaps = distances(emb, points)
+        return np.zeros_like(gaps) if len(gaps) == 64 * 4 else gaps
+
+    monkeypatch.setattr(theta, "_distances", offsets_on_the_group)
     envelope, code = run("probe-elliptic", m=9, tau=1j, torsion=(1, 0, 4), samples=1, seed=1, tol=1e-8)
     assert code == 3
     assert envelope.payload["message"] == "could not find a pairing offset away from the subgroup"
@@ -799,6 +819,13 @@ def test_torsion_order_beyond_float_range_is_config_error(capsys, argv):
     code, env = run_cli_json(capsys, argv)
     assert code == 3
     assert env["warnings"] == ["configuration error: torsion order exceeds the floating-point range"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_elliptic_scaled_period_beyond_float_range_is_config_error(capsys):
+    code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "9", "--tau", "0,1e308", "--samples", "1"])
+    assert code == 3
+    assert env["payload"] == {"kind": "error", "message": "m*tau exceeds the floating-point range"}
 
 
 def test_elliptic_degree_beyond_float_range_is_config_error(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -72,6 +73,16 @@ def test_embedding_validation():
         elliptic_embedding(10**400, 1j)
 
 
+def test_elliptic_scaled_period_beyond_float_range_is_refused():
+    # 9 * 1e308 overflows: refused by name, without numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e308j, complex(1e308, 1)):
+            with pytest.raises(ConfigurationError, match=r"m\*tau exceeds the floating-point range"):
+                elliptic_embedding(9, tau)
+    assert elliptic_embedding(9, 1e300j).truncation_radius == 1
+
+
 def test_truncation_radius_positive_and_scaling():
     assert elliptic_embedding(5, 1j).truncation_radius >= 1
     # smaller Im(tau) needs a wider window
@@ -139,9 +150,11 @@ def test_derivative_matches_finite_differences():
     emb = elliptic_embedding(5, TAU)
     step = 1e-5
     for z in seeded_points(50, seed=6):
-        analytic = theta_derivatives(emb, z)
+        analytic = theta_derivatives(emb, z, 1)
         numeric = (theta_values(emb, z + step) - theta_values(emb, z - step)) / (2 * step)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic) < 1e-6
+    with pytest.raises(ValueError, match="genus-1 derivatives need an explicit tangent 1-vector"):
+        theta_derivatives(emb, 0.3j)  # no genus has a default direction
 
 
 def test_genus2_lattice_periodicity():
@@ -282,8 +295,37 @@ def test_fibre_independence_trivial_group():
 
 def test_group_closure_enforced():
     emb = elliptic_embedding(5, TAU)
-    with pytest.raises(ValueError, match="closed"):
-        scroll_smoothness_probe(emb, [0j, 0.3 + 0j], samples=1, seed=0)
+    with pytest.raises(ValueError, match="exact order 2"):
+        scroll_smoothness_probe(emb, 0.3, 2, samples=1, seed=0)
+
+
+def test_probe_refuses_a_generator_of_another_order():
+    # true order 2 claimed as order 4: the group would repeat its elements
+    emb = elliptic_embedding(9, TAU)
+    with pytest.raises(ValueError, match="exact order 4"):
+        scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 2).point, 4, samples=1, seed=0)
+    # true order 4 claimed as order 2, and a genus-2 generator of order 2 claimed as 3
+    with pytest.raises(ValueError, match="exact order 2"):
+        scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 4).point, 2, samples=1, seed=0)
+    emb = surface_embedding(7, OMEGA)
+    with pytest.raises(ValueError, match="exact order 3"):
+        scroll_smoothness_probe(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 3, samples=1, seed=0)
+
+
+def test_wrong_order_refused_in_little_memory():
+    # at k = 1000 the old closure check's k^3 sums would need 16 GB
+    import tracemalloc
+
+    emb = elliptic_embedding(2001, TAU)
+    generator = torsion_point(emb, 1, 0, 999).point
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exact order 1000"):
+            scroll_smoothness_probe(emb, generator, 1000, samples=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_cluster_probe_two_fibres():
@@ -340,23 +382,22 @@ def test_cluster_probe_rejects_overlong_cluster():
 
 def test_smoothness_probe_deterministic_and_clean():
     emb = elliptic_embedding(5, TAU)
-    group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
-    first = scroll_smoothness_probe(emb, group, samples=25, seed=123)
-    second = scroll_smoothness_probe(emb, group, samples=25, seed=123)
+    generator = torsion_point(emb, 1, 0, 2).point
+    first = scroll_smoothness_probe(emb, generator, 2, samples=25, seed=123)
+    second = scroll_smoothness_probe(emb, generator, 2, samples=25, seed=123)
     assert first == second  # bit-identical, min_margin included
     assert first.fails == 0
     assert first.inconclusives == 0
     assert first.min_margin > 1e-6
     assert first.probes == first.passes
-    other_seed = scroll_smoothness_probe(emb, group, samples=25, seed=124)
+    other_seed = scroll_smoothness_probe(emb, generator, 2, samples=25, seed=124)
     assert other_seed.min_margin != first.min_margin
 
 
 def test_smoothness_probe_group_too_large():
     emb = elliptic_embedding(5, TAU)
-    group = cyclic_group(emb, torsion_point(emb, 1, 0, 3).point, 3)
     with pytest.raises(ValueError, match="group order"):
-        scroll_smoothness_probe(emb, group, samples=5, seed=1)
+        scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 3).point, 3, samples=5, seed=1)
 
 
 def test_probe_refuses_an_empty_group_and_negative_samples():
@@ -364,9 +405,10 @@ def test_probe_refuses_an_empty_group_and_negative_samples():
     for order in (0, -1):
         with pytest.raises(ValueError, match="group order must be positive"):
             cyclic_group(emb, 0.5 + 0j, order)
-    group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
+        with pytest.raises(ValueError, match="group order must be positive"):
+            scroll_smoothness_probe(emb, 0.5 + 0j, order, samples=1, seed=0)
     with pytest.raises(ValueError, match="samples must be non-negative"):
-        scroll_smoothness_probe(emb, group, samples=-1, seed=0)
+        scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 2).point, 2, samples=-1, seed=0)
 
 
 def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
@@ -385,8 +427,8 @@ def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
 
 def test_smoothness_probe_genus2():
     emb = surface_embedding(7, OMEGA)
-    group = cyclic_group(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2)
-    summary = scroll_smoothness_probe(emb, group, samples=10, seed=42)
+    summary = scroll_smoothness_probe(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2,
+                                      samples=10, seed=42)
     assert summary.fails == 0
     assert summary.inconclusives == 0
     assert summary.min_margin > 1e-6
@@ -466,14 +508,14 @@ def probe_setup(genus, degree, period, torsion):
     emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
     *components, order = torsion
     generator = torsion_point(emb, components[:genus], components[genus:], order)
-    return emb, cyclic_group(emb, generator.point, generator.actual_order)
+    return emb, generator.point, generator.actual_order
 
 
 def pinned_probe(config):
     genus, degree, period, torsion, samples, seed = config
-    emb, group = probe_setup(genus, degree, period, torsion)
-    summary = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
-    assert (summary.genus, summary.sections, summary.group_order) == (genus, degree, len(group))
+    emb, generator, order = probe_setup(genus, degree, period, torsion)
+    summary = scroll_smoothness_probe(emb, generator, order, samples=samples, seed=seed)
+    assert (summary.genus, summary.sections, summary.group_order) == (genus, degree, order)
     assert (summary.samples, summary.seed, summary.tol) == (samples, seed, HARD_TOL)
     return summary
 
@@ -502,8 +544,8 @@ def test_gray_zone_probe_summary_still_fails():
 def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, period, torsion):
     import scrolls.theta as theta
 
-    emb, group = probe_setup(genus, degree, period, torsion)
-    k, samples = len(group), 5
+    emb, generator, k = probe_setup(genus, degree, period, torsion)
+    group, samples = cyclic_group(emb, generator, k), 5
     summed, tangents = [], {}  # points of each lattice sum; call index -> tangent rows
     section_terms, derivative_sums = theta._section_terms, theta._derivative_sums
 
@@ -518,7 +560,7 @@ def test_smoothness_probe_evaluates_each_point_once(monkeypatch, genus, degree, 
 
     monkeypatch.setattr(theta, "_section_terms", counted_terms)
     monkeypatch.setattr(theta, "_derivative_sums", counted_derivatives)
-    summary = scroll_smoothness_probe(emb, group, samples=samples, seed=1)
+    summary = scroll_smoothness_probe(emb, generator, k, samples=samples, seed=1)
     bases = np.concatenate([
         theta._point_from_coords(emb, np.random.default_rng(1).random((samples, 2 * genus))),
         theta._grid_points(emb),
@@ -548,7 +590,7 @@ def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
     # point whose sections vanish comes back as zero rows
     import scrolls.theta as theta
 
-    emb, group = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
+    emb, generator, order = probe_setup(2, 7, OMEGA, (0, 1, 0, 0, 2))
     embed = theta._embed
 
     def failing_partners(emb, points, tangent=None):
@@ -556,7 +598,7 @@ def test_smoothness_probe_partner_error_keeps_fibre_verdict(monkeypatch):
         return (np.zeros_like(coords) if tangent is None else coords), derivatives
 
     monkeypatch.setattr(theta, "_embed", failing_partners)
-    summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
+    summary = scroll_smoothness_probe(emb, generator, order, samples=5, seed=1)
     bases = 5 + theta._GRID_SIDE ** 2
     # one fibre verdict and one inconclusive per base; no later probe runs
     assert (summary.probes, summary.passes, summary.fails, summary.inconclusives) == (
@@ -573,12 +615,12 @@ def test_smoothness_probe_zero_derivative_rows_are_inconclusive(
 ):
     import scrolls.theta as theta
 
-    emb, group = probe_setup(genus, degree, period, torsion)
+    emb, generator, order = probe_setup(genus, degree, period, torsion)
     monkeypatch.setattr(
         theta, "_derivative_sums",
         lambda emb, centres, terms, tangent: np.zeros(terms.shape[:2], dtype=complex),
     )
-    summary = scroll_smoothness_probe(emb, group, samples=5, seed=1)
+    summary = scroll_smoothness_probe(emb, generator, order, samples=5, seed=1)
     bases = 5 + theta._GRID_SIDE ** 2
     # fibre and two-fibre verdicts recorded, the immersion probe inconclusive
     assert (summary.probes, summary.passes, summary.fails, summary.inconclusives) == (
@@ -593,9 +635,9 @@ def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, conf
     import scrolls.theta as theta
 
     default = pinned_probe(config)
-    emb, group = probe_setup(*config[:4])
+    emb, _, order = probe_setup(*config[:4])
     monkeypatch.setattr(theta, "_BLOCK", 1)
-    monkeypatch.setattr(theta, "_TERMS", len(group) * emb._quad.size)
+    monkeypatch.setattr(theta, "_TERMS", order * emb._quad.size)
     budgeted = pinned_probe(config)
     if emb.genus < 3:
         assert budgeted == default  # min_margin to the last bit
@@ -751,9 +793,9 @@ def test_genus2_far_point_embeds_in_little_memory():
                                     PINNED_SUMMARIES[4][0]])
 def test_probe_results_do_not_depend_on_call_history(config):
     genus, degree, period, torsion, samples, seed = config
-    emb, group = probe_setup(genus, degree, period, torsion)
-    first = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
-    second = scroll_smoothness_probe(emb, group, samples=samples, seed=seed)
+    emb, generator, order = probe_setup(genus, degree, period, torsion)
+    first = scroll_smoothness_probe(emb, generator, order, samples=samples, seed=seed)
+    second = scroll_smoothness_probe(emb, generator, order, samples=samples, seed=seed)
     fresh = pinned_probe(config)
     assert first == second == fresh  # min_margin to the last bit
 
@@ -808,7 +850,7 @@ def test_stacked_verdicts_match_the_scalar_rule():
 @pytest.mark.parametrize("make, order", [(lambda: elliptic_embedding(9, 0.3 + 0.9j), 4),
                                          (lambda: surface_embedding(11, OMEGA), 5)])
 def test_group_geometry_matches_one_element_at_a_time(make, order):
-    from scrolls.theta import _check_group, _distances, _pair_offset, _point_from_coords
+    from scrolls.theta import _distances, _pair_offset, _point_from_coords
 
     emb = make()
     b = (1, 0) if emb.genus == 1 else ((0, 1), (0, 0))
@@ -819,9 +861,9 @@ def test_group_geometry_matches_one_element_at_a_time(make, order):
         expected.append(expected[-1] + generator)
     assert [type(p) for p in group] == [type(p) for p in expected]
     assert all(np.array_equal(p, q) for p, q in zip(group, expected))
-    _check_group(emb, group)
-    with pytest.raises(ValueError, match="not closed"):
-        _check_group(emb, group[:-1])  # one element short
+    scroll_smoothness_probe(emb, generator, order, samples=0, seed=0)
+    with pytest.raises(ValueError, match=f"exact order {order - 1}"):
+        scroll_smoothness_probe(emb, generator, order - 1, samples=0, seed=0)  # one element short
     for t in range(64):  # the first candidate offset clear of every element
         coords = [(0.351 + 0.1733 * t) % 1.0, (0.273 + 0.1411 * t) % 1.0] * emb.genus
         offset = _point_from_coords(emb, np.array(coords))
@@ -948,7 +990,8 @@ def test_m11_points_beyond_the_norm_range_match_mpmath():
     from scrolls.theta import _embed, _grid_points, _point_from_coords, _section_terms
 
     (genus, m, tau, torsion, samples, seed), _ = PINNED_SUMMARIES[3]
-    emb, group = probe_setup(genus, m, tau, torsion)
+    emb, generator, order = probe_setup(genus, m, tau, torsion)
+    group = cyclic_group(emb, generator, order)
     bases = np.concatenate([
         _point_from_coords(emb, np.random.default_rng(seed).random((samples, 2))), _grid_points(emb)
     ])[:, 0]

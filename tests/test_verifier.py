@@ -112,10 +112,17 @@ def test_sweep_records_are_immutable_inequality_records():
     ([], [1], "nonempty"),
     ([1], range(3, 1), "nonempty"),
     ([1, sys.maxsize + 1], [1], f"need n <= {sys.maxsize}, got n={sys.maxsize + 1}"),
+    ([1], range(1, sys.maxsize + 2), f"need k_max - k_min < {sys.maxsize}, got k_max={sys.maxsize + 1}"),
 ])
 def test_sweep_records_validates_at_call_time(ns, ks, message):
     with pytest.raises(ValueError, match=message):
         sweep_records(ns, ks)  # no next(): the error must not wait for the first record
+
+
+def test_sweep_records_takes_a_k_range_of_sys_maxsize_values():
+    ks = range(1, sys.maxsize + 1)
+    assert len(ks) == sys.maxsize
+    assert next(sweep_records([1], ks)) == inequality_check(1, 1)
 
 
 def test_equality_exactly_for_n_at_most_two():
