@@ -44,14 +44,13 @@ import shutil
 import stat
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report
-# theta, and numpy with it, is imported inside _probe only, so the exact
-# commands start without loading numpy.
+# theta (and numpy with it) and dataclasses (and inspect with it) are imported
+# inside _probe only, so the exact commands start without loading them.
 from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep_records, very_ample_bound
 
 DEFAULT_SEED = 42
@@ -65,14 +64,14 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-@dataclass
 class ReportEnvelope:
-    version: str
-    command: str
-    timestamp: str
-    params: dict
-    payload: dict
-    warnings: list
+    def __init__(self, version, command, timestamp, params, payload, warnings):
+        # vars(envelope) is the JSON object, its keys in this order
+        self.version, self.command, self.timestamp = version, command, timestamp
+        self.params, self.payload, self.warnings = params, payload, warnings
+
+    def __repr__(self) -> str:
+        return f"ReportEnvelope({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def _report_dict(report: ScrollReport) -> dict:
@@ -134,6 +133,8 @@ def _probe(genus, period, degree, torsion, samples, seed, tol):
     """Probe the scroll of the genus-`genus` theta embedding with `degree`
     sections under the group generated by (a + b*period)/order, from
     torsion = (*a, *b, order) with genus entries in each of a and b."""
+    from dataclasses import asdict
+
     from .theta import ThetaEmbedding, scroll_smoothness_probe, torsion_point
 
     emb = ThetaEmbedding(genus=genus, period=period, degree=degree)

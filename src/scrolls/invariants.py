@@ -27,8 +27,8 @@ the two results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ring import (
     RingShape,
@@ -47,8 +47,7 @@ class EngineMismatchError(RuntimeError):
     """Ring-engine extraction disagrees with the closed form (internal bug)."""
 
 
-@dataclass(frozen=True)
-class ScrollData:
+class ScrollData(NamedTuple("ScrollData", [("n", int), ("k", int), ("l", int), ("cn", int)])):
     """Discrete invariants of a candidate scroll.
 
     n   dimension of the abelian variety (= irregularity of the scroll)
@@ -57,18 +56,16 @@ class ScrollData:
     cn  self-intersection number c^n of the polarization
     """
 
-    n: int
-    k: int
-    l: int
-    cn: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
-        if self.l < self.n + self.k:
-            raise ValueError(f"need l >= n + k = {self.n + self.k}, got l={self.l}")
-        if self.cn < 1:
-            raise ValueError(f"need cn >= 1, got cn={self.cn}")
+    def __new__(cls, n: int, k: int, l: int, cn: int) -> ScrollData:
+        if n < 1 or k < 1:
+            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        if l < n + k:
+            raise ValueError(f"need l >= n + k = {n + k}, got l={l}")
+        if cn < 1:
+            raise ValueError(f"need cn >= 1, got cn={cn}")
+        return super().__new__(cls, n, k, l, cn)
 
     @property
     def dim_y(self) -> int:
@@ -87,14 +84,13 @@ class ScrollData:
         return "incomplete" if self.cn > floor else "impossible"
 
 
-@dataclass(frozen=True)
-class ScrollReport:
+class ScrollReport(NamedTuple):
     data: ScrollData
     deg_Y: Fraction
     top_chern_normal: int
     double_point: Fraction
     verdict: str
-    flags: tuple = field(default_factory=tuple)
+    flags: tuple = ()
 
 
 def _one_plus(shape: RingShape, c_coeff: int) -> TruncPoly:
@@ -169,11 +165,5 @@ def build_report(data: ScrollData) -> ScrollReport:
     if data.linear_system == "impossible":
         flags.append("cn below the Riemann-Roch minimum n!*l; no such embedding exists")
     verdict = VERDICT_DOUBLE_POINTS if dp > 0 else VERDICT_SMOOTH
-    return ScrollReport(
-        data=data,
-        deg_Y=deg,
-        top_chern_normal=tcn,
-        double_point=dp,
-        verdict=verdict,
-        flags=tuple(flags),
-    )
+    return ScrollReport(data=data, deg_Y=deg, top_chern_normal=tcn, double_point=dp,
+                        verdict=verdict, flags=tuple(flags))

@@ -21,9 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -40,16 +39,16 @@ class NotInvertibleError(ValueError):
     """Negative power requested for an element with zero constant term."""
 
 
-@dataclass(frozen=True)
-class RingShape:
+class RingShape(NamedTuple("RingShape", [("c_cap", int), ("h_cap", int)])):
     """Truncation data: c^(c_cap+1) = 0 and h^(h_cap+1) = 0."""
 
-    c_cap: int
-    h_cap: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c_cap < 0 or self.h_cap < 0:
+    def __new__(cls, c_cap: int, h_cap: int) -> RingShape:
+        self = super().__new__(cls, c_cap, h_cap)
+        if c_cap < 0 or h_cap < 0:
             raise ValueError(f"caps must be non-negative, got {self}")
+        return self
 
 
 def _canon(value: Rational) -> Rational:
@@ -60,18 +59,25 @@ def _canon(value: Rational) -> Rational:
     return frac.numerator if frac.denominator == 1 else frac
 
 
-@dataclass(frozen=True)
 class TruncPoly:
-    """Immutable element of the truncated ring, in canonical sparse form.
+    """Element of the truncated ring in canonical sparse form, never mutated.
 
-    Construct through :func:`make_poly`; the dataclass constructor assumes the
+    Construct through :func:`make_poly`; the constructor assumes the
     coefficient map is already canonical (validated, no zeros), so equality of
-    the (shape, coeffs) fields is equality in the ring.  The dict field makes
-    an element unhashable.
+    the (shape, coeffs) fields is equality in the ring.  The dict field keeps
+    an element unhashable.  It is not a tuple, so p + q raises.
     """
 
-    shape: RingShape
-    coeffs: dict
+    __slots__ = ("shape", "coeffs")
+    __hash__ = None
+
+    def __init__(self, shape: RingShape, coeffs: dict) -> None:
+        self.shape, self.coeffs = shape, coeffs
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.coeffs) == (other.shape, other.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -138,6 +138,10 @@ class ThetaEmbedding:
         chars = np.zeros((g, self.degree, 1))
         chars[-1, :, 0] = np.arange(self.degree) / self.degree
         offsets = box + chars  # (g, sections, box): lattice vector plus characteristic
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = 1j * math.pi * np.einsum("isn,ij,jsn->sn", offsets, omega, offsets)
+        if not np.all(np.isfinite(quad)):  # a finite period can still overflow here
+            raise ConfigurationError("the lattice sum's quadratic terms exceed the floating-point range")
         for name, value in (
             ("truncation_radius", radius),
             ("_scale", scale),                              # w = s*z
@@ -145,7 +149,7 @@ class ThetaEmbedding:
             ("_steps", np.append(np.ones(g - 1), self.degree) / scale),  # D/s
             ("_inv_imag", np.linalg.inv(matrix.imag)),      # y = (Im P)^-1 Im z
             ("_offsets", offsets.reshape(g, -1)),
-            ("_quad", 1j * math.pi * np.einsum("isn,ij,jsn->sn", offsets, omega, offsets)),
+            ("_quad", quad),
         ):
             object.__setattr__(self, name, value)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .invariants import ScrollData, ScrollReport, build_report
@@ -39,8 +38,7 @@ class InequalityRecord(NamedTuple):
     relation: str  # "lt" | "eq" | "gt", by exact comparison
 
 
-@dataclass(frozen=True)
-class TermwiseTerm:
+class TermwiseTerm(NamedTuple):
     l: int
     lhs: int  # (n+k-l+1) * l
     rhs: int  # 2n+2k-l
@@ -48,15 +46,13 @@ class TermwiseTerm:
     equiv_holds: bool  # the equivalent condition n+k >= l
 
 
-@dataclass(frozen=True)
-class TermwiseRecord:
+class TermwiseRecord(NamedTuple):
     n: int
     k: int
     terms: tuple
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     records: tuple
     equality_set: tuple  # (n, k) pairs with relation == "eq", sorted
 
@@ -75,9 +71,7 @@ def termwise_check(n: int, k: int) -> TermwiseRecord:
         for l in range(2, n + 1):
             lhs = (n + k - l + 1) * l
             rhs = 2 * n + 2 * k - l
-            terms.append(
-                TermwiseTerm(l=l, lhs=lhs, rhs=rhs, holds=lhs >= rhs, equiv_holds=n + k >= l)
-            )
+            terms.append(TermwiseTerm(l, lhs, rhs, lhs >= rhs, n + k >= l))
     return TermwiseRecord(n=n, k=k, terms=tuple(terms))
 
 

@@ -578,17 +578,29 @@ def test_internal_type_error_is_not_a_usage_error():
         run("invariants")
 
 
-def test_exact_cli_import_leaves_numpy_unloaded():
+def test_exact_cli_import_leaves_numpy_unloaded(tmp_path):
+    # the import and every exact command load neither numpy nor dataclasses (and so not inspect)
     script = (
         "import sys, scrolls.cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported by scrolls.cli'\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert scrolls.cli.main(argv.split()) == 0, argv\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, f'loaded by the exact commands: {sorted(loaded)}'\n"
         "from scrolls import ThetaEmbedding, theta_basis_eval\n"
         "assert callable(theta_basis_eval) and ThetaEmbedding.__name__ == 'ThetaEmbedding'\n"
     )
+    commands = [
+        "invariants --n 2 --k 2 --l 7 --cn 14",
+        "verify --n-min 1 --n-max 4 --k-min 1 --k-max 4 --format csv",
+        "family --k-max 5 --format text",
+        "very-ample-bound --n 3 --l 13",
+    ]
+    argvs = [f"{command} --output {tmp_path / str(i)}" for i, command in enumerate(commands)]
     src = str(Path(scrolls.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", script, *argvs], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert all((tmp_path / str(i)).stat().st_size for i in range(len(commands)))
 
 
 def test_package_exports_resolve():
@@ -826,6 +838,16 @@ def test_elliptic_scaled_period_beyond_float_range_is_config_error(capsys):
     code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "9", "--tau", "0,1e308", "--samples", "1"])
     assert code == 3
     assert env["payload"] == {"kind": "error", "message": "m*tau exceeds the floating-point range"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_elliptic_quadratic_terms_beyond_float_range_are_config_error(capsys):
+    # m*tau = 9e307 is finite; the lattice sum's quadratic terms are not
+    code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "9", "--tau", "0,1e307", "--samples", "1"])
+    assert code == 3
+    message = "the lattice sum's quadratic terms exceed the floating-point range"
+    assert env["payload"] == {"kind": "error", "message": message}
+    assert env["warnings"] == [f"configuration error: {message}"]
 
 
 def test_elliptic_degree_beyond_float_range_is_config_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrolls.invariants import ScrollData, ScrollReport
 from scrolls.ring import (
     ExponentRangeError,
     NotInvertibleError,
@@ -69,8 +70,25 @@ def test_elements_are_plain_data():
     assert total.coeffs == {(1, 0): 1, (0, 1): 1} and type(total.coeffs[0, 1]) is int
     with pytest.raises(TypeError, match="unhashable"):
         hash(p)
-    with pytest.raises(TypeError):
-        p * p
+    # no arithmetic operators: in particular no tuple concatenation or repetition
+    for operate in (lambda: p * p, lambda: p + p, lambda: p - p, lambda: -p, lambda: p * 2):
+        with pytest.raises(TypeError):
+            operate()
+    assert p != (p.shape, p.coeffs) and (p.shape, p.coeffs) != p
+    # the refusals of the value types, verbatim
+    with pytest.raises(ValueError) as refused:
+        RingShape(-1, 0)
+    assert str(refused.value) == "caps must be non-negative, got RingShape(c_cap=-1, h_cap=0)"
+    for fields, message in [  # checked in this order
+        ((0, 1, 0, 0), "need n >= 1 and k >= 1, got n=0, k=1"),
+        ((2, 2, 3, 0), "need l >= n + k = 4, got l=3"),
+        ((2, 2, 4, 0), "need cn >= 1, got cn=0"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            ScrollData(*fields)
+        assert str(refused.value) == message
+    data = ScrollData(n=2, k=2, l=7, cn=14)
+    assert ScrollReport(data, Fraction(21), 0, Fraction(0), "consistent-with-smooth").flags == ()
 
 
 def test_mul_truncates_squares():

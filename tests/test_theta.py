@@ -83,6 +83,20 @@ def test_elliptic_scaled_period_beyond_float_range_is_refused():
     assert elliptic_embedding(9, 1e300j).truncation_radius == 1
 
 
+def test_quadratic_terms_beyond_float_range_are_refused():
+    # m*tau = 9e307 is finite, but pi * u^2 * m*tau at offset |u| = 2 is not: refused by
+    # name, without numpy's overflow warning, in genus 1 and 2 alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: elliptic_embedding(9, 1e307j),
+                     lambda: elliptic_embedding(9, complex(1e307, 1)),
+                     lambda: surface_embedding(7, [[1e307j, 0], [0, 1j]])):
+            with pytest.raises(ConfigurationError) as refused:
+                make()
+            assert str(refused.value) == "the lattice sum's quadratic terms exceed the floating-point range"
+        assert np.all(np.isfinite(elliptic_embedding(9, 1e305j)._quad))
+
+
 def test_truncation_radius_positive_and_scaling():
     assert elliptic_embedding(5, 1j).truncation_radius >= 1
     # smaller Im(tau) needs a wider window
