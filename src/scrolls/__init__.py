@@ -24,10 +24,8 @@ _THETA_NAMES = frozenset({
     "ClusterProbe",
     "ThetaEmbedding",
     "cyclic_group",
-    "elliptic_embedding",
     "scroll_smoothness_probe",
     "span_rank",
-    "surface_embedding",
     "theta_basis_eval",
     "torsion_point",
     "very_ampleness_cluster_probe",

@@ -49,8 +49,8 @@ from pathlib import Path
 
 from . import __version__
 from .invariants import EngineMismatchError, ScrollData, ScrollReport, build_report
-# theta (and numpy with it) and dataclasses (and inspect with it) are imported
-# inside _probe only, so the exact commands start without loading them.
+# theta (and numpy with it) is imported inside _probe only, so the exact
+# commands start without loading it.
 from .verifier import FAMILY_DEGREE_NOTE, conjecture_family_report, sweep_records, very_ample_bound
 
 DEFAULT_SEED = 42
@@ -133,8 +133,6 @@ def _probe(genus, period, degree, torsion, samples, seed, tol):
     """Probe the scroll of the genus-`genus` theta embedding with `degree`
     sections under the group generated by (a + b*period)/order, from
     torsion = (*a, *b, order) with genus entries in each of a and b."""
-    from dataclasses import asdict
-
     from .theta import ThetaEmbedding, scroll_smoothness_probe, torsion_point
 
     emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
@@ -147,7 +145,7 @@ def _probe(genus, period, degree, torsion, samples, seed, tol):
         )
     summary = scroll_smoothness_probe(emb, generator.point, generator.actual_order,
                                       samples=samples, seed=seed, tol=tol)
-    payload = {"kind": "probe", **asdict(summary)}
+    payload = {"kind": "probe", **summary._asdict()}
     if summary.fails:
         code = EXIT_FAILED
     elif summary.inconclusives:

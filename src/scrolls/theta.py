@@ -34,7 +34,7 @@ before exponentiating.  One call sums any number of points, and that one
 exponent array gives both the values and the derivatives.  Each point's terms
 are divided by exp(M), M their largest real part, so that no projective image
 overflows; only the raw values and derivatives multiply exp(M) back, and they
-refuse M > 600.
+refuse M > 600; a lattice sum left non-finite is refused.
 
 The probes sample the geometric conditions for smoothness of the scroll swept
 out by the spans of torsion translates: fibre points must be independent, two
@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,7 +85,6 @@ class ConfigurationError(ValueError):
     """Embedding parameters unusable for the truncated lattice sum."""
 
 
-@dataclass(frozen=True)
 class ThetaEmbedding:
     """A theta embedding of an abelian variety of dimension genus >= 1.
 
@@ -97,28 +95,23 @@ class ThetaEmbedding:
     Im(period) alone and the same at every point.
     """
 
-    genus: int
-    period: object
-    degree: int
-    truncation_radius: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        g = self.genus
+    def __init__(self, genus: int, period, degree: int) -> None:
+        g = self.genus = genus
+        self.degree = degree
         if g < 1:
             raise ConfigurationError(f"genus must be at least 1, got {g}")
-        if self.degree < 3:
-            raise ConfigurationError(f"need at least 3 sections, got degree {self.degree}")
+        if degree < 3:
+            raise ConfigurationError(f"need at least 3 sections, got degree {degree}")
         # the period is stored as complex (genus 1) or a complex g x g array
-        period = complex(self.period) if g == 1 else np.asarray(self.period, dtype=complex)
+        period = self.period = complex(period) if g == 1 else np.asarray(period, dtype=complex)
         if not np.all(np.isfinite(period)):
             raise ConfigurationError("period entries must be finite")
-        object.__setattr__(self, "period", period)
         if g == 1:
             if not period.imag > 0:
                 raise ConfigurationError(f"Im(tau) must be positive, got {period}")
-            if self.degree > sys.float_info.max:  # scale * matrix below would overflow
+            if degree > sys.float_info.max:  # scale * matrix below would overflow
                 raise ConfigurationError("degree exceeds the floating-point range")
-            scale = self.degree
+            scale = degree
         elif period.shape != (g, g) or not np.allclose(period, period.T, atol=1e-14):
             raise ConfigurationError(f"genus-{g} period must be a symmetric {g}x{g} matrix")
         else:
@@ -132,38 +125,25 @@ class ThetaEmbedding:
         eig_min = float(np.linalg.eigvalsh(omega.imag)[0])
         if eig_min <= 0:
             raise ConfigurationError("Im(period) must be positive definite")
-        radius = _radius_for(eig_min, g, self.degree)
+        radius = self.truncation_radius = _radius_for(eig_min, g, degree)
         side = np.arange(-radius - 1.0, radius + 1.0)
         box = np.stack(np.meshgrid(*[side] * g, indexing="ij")).reshape(g, 1, -1)
-        chars = np.zeros((g, self.degree, 1))
-        chars[-1, :, 0] = np.arange(self.degree) / self.degree
+        chars = np.zeros((g, degree, 1))
+        chars[-1, :, 0] = np.arange(degree) / degree
         offsets = box + chars  # (g, sections, box): lattice vector plus characteristic
         with np.errstate(over="ignore", invalid="ignore"):
             quad = 1j * math.pi * np.einsum("isn,ij,jsn->sn", offsets, omega, offsets)
         if not np.all(np.isfinite(quad)):  # a finite period can still overflow here
             raise ConfigurationError("the lattice sum's quadratic terms exceed the floating-point range")
-        for name, value in (
-            ("truncation_radius", radius),
-            ("_scale", scale),                              # w = s*z
-            ("_period", matrix),                            # z = (D/s)*x + P*y
-            ("_steps", np.append(np.ones(g - 1), self.degree) / scale),  # D/s
-            ("_inv_imag", np.linalg.inv(matrix.imag)),      # y = (Im P)^-1 Im z
-            ("_offsets", offsets.reshape(g, -1)),
-            ("_quad", quad),
-        ):
-            object.__setattr__(self, name, value)
+        self._scale = scale                                         # w = s*z
+        self._period = matrix                                       # z = (D/s)*x + P*y
+        self._steps = np.append(np.ones(g - 1), degree) / scale     # D/s
+        self._inv_imag = np.linalg.inv(matrix.imag)                 # y = (Im P)^-1 Im z
+        self._offsets = offsets.reshape(g, -1)
+        self._quad = quad
 
 
-def elliptic_embedding(m: int, tau: complex) -> ThetaEmbedding:
-    return ThetaEmbedding(genus=1, period=tau, degree=m)
-
-
-def surface_embedding(d: int, omega) -> ThetaEmbedding:
-    return ThetaEmbedding(genus=2, period=omega, degree=d)
-
-
-@dataclass(frozen=True)
-class EmbeddedPoint:
+class EmbeddedPoint(NamedTuple):
     """Projective image of a torus point: unit-norm coordinates and, when a
     tangent direction was supplied, the matching derivative vector (scaled by
     the same factor as the coordinates)."""
@@ -172,14 +152,12 @@ class EmbeddedPoint:
     derivative: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(NamedTuple):
     point: TorusPoint
     actual_order: int
 
 
-@dataclass(frozen=True)
-class ClusterProbe:
+class ClusterProbe(NamedTuple):
     points: tuple
     expected_rank: int
     observed_rank: int
@@ -187,8 +165,7 @@ class ClusterProbe:
     verdict: str  # "pass" | "fail" | "inconclusive"
 
 
-@dataclass(frozen=True)
-class ProbeSummary:
+class ProbeSummary(NamedTuple):
     """The probe report: its fields, in order, are the payload's keys."""
 
     genus: int
@@ -258,6 +235,12 @@ def _derivative_sums(emb: ThetaEmbedding, centres, terms, tangent) -> np.ndarray
     return 2j * math.pi * emb._scale * (slopes * terms).sum(axis=2)
 
 
+def _check_range(values) -> None:
+    """Refuse non-finite sums, whose exponents overflowed or rounded a term past exp's range."""
+    if not np.isfinite(values).all():
+        raise ConfigurationError("the lattice sum's terms exceed the floating-point range")
+
+
 def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> tuple:
     """Unit coordinate rows of `points` and, with a tangent (one direction or
     one per point), their derivative rows divided by the same norms (else
@@ -267,21 +250,25 @@ def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> t
     if tangent is not None:
         tangent = np.broadcast_to(_rows(emb, tangent), z.shape)
     step = max(1, _TERMS // emb._quad.size)
-    coords, derivatives = [], []
-    for start in range(0, max(len(z), 1), step):  # one call for no points
-        centres, terms, _ = _section_terms(emb, z[start:start + step])
-        raw = terms.sum(axis=2)
+    sums, derivatives = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _check_range
+        for start in range(0, max(len(z), 1), step):  # one call for no points
+            centres, terms, _ = _section_terms(emb, z[start:start + step])
+            sums.append(terms.sum(axis=2))
+            if tangent is not None:
+                derivatives.append(_derivative_sums(emb, centres, terms, tangent[start:start + step]))
+        raw = np.concatenate(sums)
         norms = np.linalg.norm(raw, axis=1)[:, None]
-        norms[norms == 0.0] = 1.0  # the row stays zero
-        coords.append(raw / norms)
-        if tangent is not None:
-            derivatives.append(_derivative_sums(emb, centres, terms, tangent[start:start + step]) / norms)
-    return np.concatenate(coords), np.concatenate(derivatives) if derivatives else None
+    _check_range(norms)
+    norms[norms == 0.0] = 1.0  # the row stays zero
+    return raw / norms, np.concatenate(derivatives) / norms if derivatives else None
 
 
 def _raw_terms(emb: ThetaEmbedding, z: TorusPoint) -> tuple:
     """Centres, scaled terms and exp(M) at one point, refused once M > 600."""
-    centres, terms, peaks = _section_terms(emb, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _check_range
+        centres, terms, peaks = _section_terms(emb, z)
+    _check_range(terms)
     if peaks[0] > 600.0:
         raise ConfigurationError("lattice sum would overflow; move z toward the fundamental domain")
     return centres, terms, math.exp(peaks[0])
@@ -383,15 +370,6 @@ def torsion_point(emb: ThetaEmbedding, a, b, order: int) -> TorsionPoint:
     except OverflowError:
         raise ValueError("torsion order exceeds the floating-point range") from None
     return TorsionPoint(point=point, actual_order=order // math.gcd(*components, order))
-
-
-def _check_group_order(emb: ThetaEmbedding, order: int) -> None:
-    """Refuse a subgroup order too large for the immersion probe's 2k rows."""
-    if 2 * order > emb.degree - 1:
-        raise ValueError(
-            f"group order {order} too large for {emb.degree} sections: "
-            "the immersion probe needs 2k <= section_count - 1"
-        )
 
 
 def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list:
@@ -525,7 +503,9 @@ def scroll_smoothness_probe(
     deterministic for fixed inputs.  Bases go in blocks of _BLOCK, and each
     block's partners and tangents are drawn before any of its points is summed.
     """
-    _check_group_order(emb, order)
+    if 2 * order > emb.degree - 1:  # the immersion probe stacks 2k rows
+        raise ValueError(f"group order {order} too large for {emb.degree} sections: "
+                         "the immersion probe needs 2k <= section_count - 1")
     if samples < 0:
         raise ValueError("samples must be non-negative")
     k, g = order, emb.genus

@@ -16,7 +16,7 @@ from scrolls.cli import main
 from scrolls.invariants import ScrollData, build_report, top_chern_normal
 from scrolls.ring import RingShape, add, binomial, make_poly, mul, one, power_signed
 from scrolls.theta import (
-    elliptic_embedding,
+    ThetaEmbedding,
     projective_residual,
     scroll_smoothness_probe,
     theta_basis_eval,
@@ -117,7 +117,7 @@ def test_criterion_07_elliptic_scroll_probes():
     ok = True
     details = []
     for m, order, samples in ((5, 2, 200), (7, 3, 100), (9, 4, 100)):
-        emb = elliptic_embedding(m, 1j)
+        emb = ThetaEmbedding(genus=1, period=1j, degree=m)
         summary = scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, order).point, order,
                                           samples=samples, seed=42)
         details.append(f"m={m}: margin {summary.min_margin:.2e}")
@@ -130,7 +130,7 @@ def test_criterion_07_elliptic_scroll_probes():
 
 def test_criterion_08_theta_numerics():
     start = time.perf_counter()
-    emb = elliptic_embedding(5, 1j)
+    emb = ThetaEmbedding(genus=1, period=1j, degree=5)
     rng = np.random.default_rng(42)
     ok = True
     step = 1e-5

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -603,6 +604,25 @@ def test_exact_cli_import_leaves_numpy_unloaded(tmp_path):
     assert all((tmp_path / str(i)).stat().st_size for i in range(len(commands)))
 
 
+
+def test_probe_cli_loads_dataclasses_only_with_numpy(tmp_path):
+    # the probe commands add no dataclasses import to whatever numpy itself loads
+    script = (
+        "import sys, numpy\n"
+        "by_numpy = 'dataclasses' in sys.modules\n"
+        "import scrolls.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert scrolls.cli.main(argv.split()) == 0, argv\n"
+        "assert by_numpy or 'dataclasses' not in sys.modules, 'loaded by the probe commands'\n"
+    )
+    commands = ["probe-elliptic --m 5 --samples 2", "probe-surface --d 7 --samples 2"]
+    argvs = [f"{command} --output {tmp_path / str(i)}" for i, command in enumerate(commands)]
+    src = str(Path(scrolls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, *argvs], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert all((tmp_path / str(i)).stat().st_size for i in range(len(commands)))
+
 def test_package_exports_resolve():
     # the eager imports and the lazily loaded theta names all resolve
     tree = ast.parse(Path(scrolls.__file__).read_text())
@@ -849,6 +869,22 @@ def test_elliptic_quadratic_terms_beyond_float_range_are_config_error(capsys):
     assert env["payload"] == {"kind": "error", "message": message}
     assert env["warnings"] == [f"configuration error: {message}"]
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-elliptic", "--m", "9", "--tau", "0,3e305", "--samples", "1"],
+    ["probe-elliptic", "--m", "9", "--tau", "0,1e306", "--samples", "1"],
+    ["probe-surface", "--d", "7", "--omega", "0,1e306;0,0;0,1e306"],
+])
+def test_lattice_sum_terms_beyond_float_range_are_config_error(capsys, argv):
+    # the quadratic tables are finite; the per-point exponents leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, env = run_cli_json(capsys, argv)
+    assert code == 3
+    message = "the lattice sum's terms exceed the floating-point range"
+    assert env["payload"] == {"kind": "error", "message": message}
+    assert env["warnings"] == [f"configuration error: {message}"]
 
 def test_elliptic_degree_beyond_float_range_is_config_error(capsys):
     code, env = run_cli_json(capsys, ["probe-elliptic", "--m", "1" + "0" * 400])

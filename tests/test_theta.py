@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -14,12 +13,10 @@ from scrolls.theta import (
     EvaluationError,
     ThetaEmbedding,
     cyclic_group,
-    elliptic_embedding,
     lattice_distance,
     projective_residual,
     scroll_smoothness_probe,
     span_rank,
-    surface_embedding,
     theta_basis_eval,
     theta_derivatives,
     theta_values,
@@ -50,9 +47,9 @@ def seeded_points(count, seed=0):
 
 def test_embedding_validation():
     with pytest.raises(ConfigurationError):
-        elliptic_embedding(5, 1.0 - 0.2j)
+        ThetaEmbedding(genus=1, period=1.0 - 0.2j, degree=5)
     with pytest.raises(ConfigurationError):
-        elliptic_embedding(2, 1j)
+        ThetaEmbedding(genus=1, period=1j, degree=2)
     with pytest.raises(ConfigurationError, match="genus must be at least 1, got 0"):
         ThetaEmbedding(genus=0, period=1j, degree=5)
     with pytest.raises(ConfigurationError, match="genus-3 period must be a symmetric 3x3 matrix"):
@@ -60,17 +57,17 @@ def test_embedding_validation():
     with pytest.raises(ConfigurationError, match="genus-3 period must be a symmetric 3x3 matrix"):
         ThetaEmbedding(genus=3, period=OMEGA3 + np.triu(np.full((3, 3), 0.1), 1), degree=9)
     with pytest.raises(ConfigurationError, match="genus-2 period must be a symmetric 2x2 matrix"):
-        surface_embedding(7, np.array([[1j, 0.5], [0.4, 1j]]))  # not symmetric
+        ThetaEmbedding(genus=2, period=np.array([[1j, 0.5], [0.4, 1j]]), degree=7)  # not symmetric
     with pytest.raises(ConfigurationError):
-        surface_embedding(7, np.array([[-1j, 0], [0, 1j]]))  # Im not posdef
+        ThetaEmbedding(genus=2, period=np.array([[-1j, 0], [0, 1j]]), degree=7)  # Im not posdef
     for tau in (complex(math.inf, 1), complex(0, math.inf), complex(math.nan, 1)):
         with pytest.raises(ConfigurationError, match="finite"):
-            elliptic_embedding(5, tau)
+            ThetaEmbedding(genus=1, period=tau, degree=5)
     with pytest.raises(ConfigurationError, match="finite"):
-        surface_embedding(7, np.array([[complex(math.nan, 1), 0], [0, 1j]]))
+        ThetaEmbedding(genus=2, period=np.array([[complex(math.nan, 1), 0], [0, 1j]]), degree=7)
     # m * tau would overflow a complex
     with pytest.raises(ConfigurationError, match="degree exceeds the floating-point range"):
-        elliptic_embedding(10**400, 1j)
+        ThetaEmbedding(genus=1, period=1j, degree=10**400)
 
 
 def test_elliptic_scaled_period_beyond_float_range_is_refused():
@@ -79,8 +76,8 @@ def test_elliptic_scaled_period_beyond_float_range_is_refused():
         warnings.simplefilter("error")
         for tau in (1e308j, complex(1e308, 1)):
             with pytest.raises(ConfigurationError, match=r"m\*tau exceeds the floating-point range"):
-                elliptic_embedding(9, tau)
-    assert elliptic_embedding(9, 1e300j).truncation_radius == 1
+                ThetaEmbedding(genus=1, period=tau, degree=9)
+    assert ThetaEmbedding(genus=1, period=1e300j, degree=9).truncation_radius == 1
 
 
 def test_quadratic_terms_beyond_float_range_are_refused():
@@ -88,37 +85,74 @@ def test_quadratic_terms_beyond_float_range_are_refused():
     # name, without numpy's overflow warning, in genus 1 and 2 alike
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for make in (lambda: elliptic_embedding(9, 1e307j),
-                     lambda: elliptic_embedding(9, complex(1e307, 1)),
-                     lambda: surface_embedding(7, [[1e307j, 0], [0, 1j]])):
+        for make in (lambda: ThetaEmbedding(genus=1, period=1e307j, degree=9),
+                     lambda: ThetaEmbedding(genus=1, period=complex(1e307, 1), degree=9),
+                     lambda: ThetaEmbedding(genus=2, period=[[1e307j, 0], [0, 1j]], degree=7)):
             with pytest.raises(ConfigurationError) as refused:
                 make()
             assert str(refused.value) == "the lattice sum's quadratic terms exceed the floating-point range"
-        assert np.all(np.isfinite(elliptic_embedding(9, 1e305j)._quad))
+        assert np.all(np.isfinite(ThetaEmbedding(genus=1, period=1e305j, degree=9)._quad))
 
+
+
+def test_lattice_sum_terms_beyond_float_range_are_refused():
+    # finite quadratic tables whose per-point exponents leave the float range: at 3e305j
+    # the rounding of the peak's subtraction puts a term near exp(2e290), at 1e306j the
+    # quadratic plus linear exponent overflows, at 6e305 + 1j its imaginary part does;
+    # refused by name, without numpy's warnings, in genus 1 and 2 alike
+    message = "the lattice sum's terms exceed the floating-point range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for genus, period, degree, a, b in ((1, 3e305j, 9, 1, 0), (1, 1e306j, 9, 1, 0),
+                                            (1, complex(6e305, 1), 9, 1, 0),
+                                            (2, [[1e306j, 0], [0, 1e306j]], 7, (0, 1), (0, 0))):
+            emb = ThetaEmbedding(genus=genus, period=period, degree=degree)
+            generator = torsion_point(emb, a, b, 2)
+            with pytest.raises(ConfigurationError) as refused:
+                scroll_smoothness_probe(emb, generator.point, 2, samples=1, seed=42)
+            assert str(refused.value) == message
+        with pytest.raises(ConfigurationError, match=message):
+            theta_values(ThetaEmbedding(genus=1, period=3e305j, degree=9), 0.476 + 3.444e305j)
+        # at 1e305 every scaled term stays at most 1: the probe runs (its fails are false)
+        emb = ThetaEmbedding(genus=1, period=1e305j, degree=9)
+        assert scroll_smoothness_probe(emb, 0.5, 2, samples=1, seed=42).probes > 0
 
 def test_truncation_radius_positive_and_scaling():
-    assert elliptic_embedding(5, 1j).truncation_radius >= 1
+    assert ThetaEmbedding(genus=1, period=1j, degree=5).truncation_radius >= 1
     # smaller Im(tau) needs a wider window
     assert (
-        elliptic_embedding(5, 0.02j).truncation_radius
-        > elliptic_embedding(5, 2j).truncation_radius
+        ThetaEmbedding(genus=1, period=0.02j, degree=5).truncation_radius
+        > ThetaEmbedding(genus=1, period=2j, degree=5).truncation_radius
     )
     with pytest.raises(ConfigurationError) as refused:
-        elliptic_embedding(5, 1e-12j)
+        ThetaEmbedding(genus=1, period=1e-12j, degree=5)
     assert str(refused.value) == "truncation radius 1595770 exceeds 10000; Im(period) too small"
     # a scale so small that the radius overflows a float is refused the same way
     with pytest.raises(ConfigurationError, match="truncation radius inf exceeds 10000"):
-        elliptic_embedding(5, 1e-320j)
+        ThetaEmbedding(genus=1, period=1e-320j, degree=5)
     # computed from the period, never set by the caller
     with pytest.raises(TypeError):
         ThetaEmbedding(genus=1, period=1j, degree=5, truncation_radius=50)
 
 
+def test_value_types_are_named_tuples():
+    # the records are NamedTuples with the old field names and order, so they
+    # compare equal to plain tuples; an embedding is a plain object
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
+    generator = torsion_point(emb, 1, 0, 2)
+    assert generator == (0.5, 2) and generator._fields == ("point", "actual_order")
+    point = theta_basis_eval(emb, 0.3 + 0.2j)
+    assert point._fields == ("coords", "derivative") and point.derivative is None
+    probe = very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.4 + 0.7j])
+    assert probe._fields == ("points", "expected_rank", "observed_rank", "margin", "verdict")
+    assert isinstance(probe.points[0], tuple) and not isinstance(emb, tuple)
+    assert {"genus", "period", "degree", "truncation_radius"} <= vars(emb).keys()
+
+
 # ------------------------------------------------------------ theta numerics
 
 def test_quasi_periodicity_integer_shift():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     for z in seeded_points(12, seed=3):
         a = theta_basis_eval(emb, z).coords
         b = theta_basis_eval(emb, z + 1).coords
@@ -126,7 +160,7 @@ def test_quasi_periodicity_integer_shift():
 
 
 def test_quasi_periodicity_tau_shift_common_factor():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     m = 5
     for z in seeded_points(12, seed=4):
         raw = theta_values(emb, z)
@@ -138,7 +172,7 @@ def test_quasi_periodicity_tau_shift_common_factor():
 
 def test_torsion_translation_is_diagonal_phase():
     # z -> z + p/m multiplies section j by exp(2*pi*i*j*p/m)
-    emb = elliptic_embedding(7, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=7)
     z = 0.21 + 0.37j
     raw = theta_values(emb, z)
     shifted = theta_values(emb, z + 2.0 / 7.0)
@@ -147,7 +181,7 @@ def test_torsion_translation_is_diagonal_phase():
 
 
 def test_random_points_embed_distinctly():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     points = [theta_basis_eval(emb, z).coords for z in seeded_points(5, seed=5)]
     for i in range(5):
         for j in range(i + 1, 5):
@@ -161,7 +195,7 @@ def test_projective_residual_of_orthogonal_vectors_is_sqrt_two():
 
 
 def test_derivative_matches_finite_differences():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     step = 1e-5
     for z in seeded_points(50, seed=6):
         analytic = theta_derivatives(emb, z, 1)
@@ -172,7 +206,7 @@ def test_derivative_matches_finite_differences():
 
 
 def test_genus2_lattice_periodicity():
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     z = np.array([0.23 + 0.31j, -0.12 + 0.44j])
     base = theta_basis_eval(emb, z).coords
     for generator in (
@@ -186,7 +220,7 @@ def test_genus2_lattice_periodicity():
 
 
 def test_genus2_derivative_matches_finite_differences():
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     rng = np.random.default_rng(9)
     step = 1e-5
     for _ in range(10):
@@ -220,7 +254,7 @@ def test_genus3_derivative_needs_a_tangent_3_vector():
 # ------------------------------------------------------------ torus geometry
 
 def test_torsion_point_examples():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     origin = torsion_point(emb, 0, 0, 4)
     assert origin.point == 0
     assert origin.actual_order == 1
@@ -241,7 +275,7 @@ def test_torsion_point_examples():
 
 
 def test_torsion_point_genus2():
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     eps = torsion_point(emb, (0, 1), (0, 0), 2)
     assert np.allclose(eps.point, [0.0, 3.5])
     assert eps.actual_order == 2
@@ -257,7 +291,7 @@ def test_torsion_point_genus2():
 
 
 def test_lattice_reduction():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     z = 0.3 + 0.4j
     assert lattice_distance(emb, (z + 3 + 2 * TAU) - z) < 1e-12
     # z = 0.3 + 0.4*tau: a lattice shift leaves its distance to the lattice at 0.4
@@ -267,7 +301,7 @@ def test_lattice_reduction():
 # -------------------------------------------------------------------- probes
 
 def test_span_rank_examples():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     point = theta_basis_eval(emb, 0.123 + 0.456j).coords
     assert span_rank([point, point])[0] == 1
 
@@ -285,7 +319,7 @@ def test_span_rank_examples():
 
 
 def test_fibre_independence_quintic():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
     probe = very_ampleness_cluster_probe(emb, [0.31 + 0.17j + rho for rho in group])
     assert probe.verdict == "pass"
@@ -293,7 +327,7 @@ def test_fibre_independence_quintic():
 
 
 def test_fibre_independence_septic_order_three():
-    emb = elliptic_embedding(7, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=7)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 3).point, 3)
     probe = very_ampleness_cluster_probe(emb, [0.05 + 0.81j + rho for rho in group])
     assert probe.verdict == "pass"
@@ -301,27 +335,27 @@ def test_fibre_independence_septic_order_three():
 
 
 def test_fibre_independence_trivial_group():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     probe = very_ampleness_cluster_probe(emb, [0.4 + 0.2j])
     assert probe.verdict == "pass"
     assert probe.expected_rank == 1
 
 
 def test_group_closure_enforced():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     with pytest.raises(ValueError, match="exact order 2"):
         scroll_smoothness_probe(emb, 0.3, 2, samples=1, seed=0)
 
 
 def test_probe_refuses_a_generator_of_another_order():
     # true order 2 claimed as order 4: the group would repeat its elements
-    emb = elliptic_embedding(9, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=9)
     with pytest.raises(ValueError, match="exact order 4"):
         scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 2).point, 4, samples=1, seed=0)
     # true order 4 claimed as order 2, and a genus-2 generator of order 2 claimed as 3
     with pytest.raises(ValueError, match="exact order 2"):
         scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 4).point, 2, samples=1, seed=0)
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     with pytest.raises(ValueError, match="exact order 3"):
         scroll_smoothness_probe(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 3, samples=1, seed=0)
 
@@ -330,7 +364,7 @@ def test_wrong_order_refused_in_little_memory():
     # at k = 1000 the old closure check's k^3 sums would need 16 GB
     import tracemalloc
 
-    emb = elliptic_embedding(2001, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=2001)
     generator = torsion_point(emb, 1, 0, 999).point
     tracemalloc.start()
     try:
@@ -343,7 +377,7 @@ def test_wrong_order_refused_in_little_memory():
 
 
 def test_cluster_probe_two_fibres():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     p, q = 0.12 + 0.61j, 0.77 + 0.29j
     probe = very_ampleness_cluster_probe(emb, [p, p + 0.5, q, q + 0.5])
     assert probe.verdict == "pass"
@@ -351,7 +385,7 @@ def test_cluster_probe_two_fibres():
 
 
 def test_cluster_probe_with_derivatives():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     p = 0.12 + 0.61j
     probe = very_ampleness_cluster_probe(emb, [p, p + 0.5], tangent=1.0)
     assert probe.verdict == "pass"
@@ -361,8 +395,8 @@ def test_cluster_probe_with_derivatives():
 
 
 @pytest.mark.parametrize("make, points, direction", [
-    (lambda: elliptic_embedding(7, TAU), [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], 1.0),
-    (lambda: surface_embedding(7, OMEGA),
+    (lambda: ThetaEmbedding(genus=1, period=TAU, degree=7), [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], 1.0),
+    (lambda: ThetaEmbedding(genus=2, period=OMEGA, degree=7),
      list(np.array([[0.3 + 0.71j, 2.11 + 0.4j], [0.65 + 0.32j, 5.48 + 0.98j], [0.64 + 1.05j, 0.33 + 0.79j]])),
      np.array([0.6, 0.8j])),
 ])
@@ -379,7 +413,7 @@ def test_cluster_probe_takes_one_tangent_per_point(make, points, direction):
 
 
 def test_cluster_probe_duplicate_point_fails():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     p = 0.4 + 0.33j
     probe = very_ampleness_cluster_probe(emb, [p, p])
     assert probe.verdict == "fail"
@@ -387,7 +421,7 @@ def test_cluster_probe_duplicate_point_fails():
 
 
 def test_cluster_probe_rejects_overlong_cluster():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     with pytest.raises(ValueError, match="cluster length"):
         very_ampleness_cluster_probe(emb, [0.1j, 0.2j, 0.3j, 0.4j, 0.5j])
     with pytest.raises(ValueError, match="cluster length"):
@@ -395,7 +429,7 @@ def test_cluster_probe_rejects_overlong_cluster():
 
 
 def test_smoothness_probe_deterministic_and_clean():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     generator = torsion_point(emb, 1, 0, 2).point
     first = scroll_smoothness_probe(emb, generator, 2, samples=25, seed=123)
     second = scroll_smoothness_probe(emb, generator, 2, samples=25, seed=123)
@@ -409,13 +443,13 @@ def test_smoothness_probe_deterministic_and_clean():
 
 
 def test_smoothness_probe_group_too_large():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     with pytest.raises(ValueError, match="group order"):
         scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 3).point, 3, samples=5, seed=1)
 
 
 def test_probe_refuses_an_empty_group_and_negative_samples():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     for order in (0, -1):
         with pytest.raises(ValueError, match="group order must be positive"):
             cyclic_group(emb, 0.5 + 0j, order)
@@ -428,7 +462,7 @@ def test_probe_refuses_an_empty_group_and_negative_samples():
 def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
     from scrolls import theta
 
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     shifts = np.reshape(cyclic_group(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2), (2, 2))
     base, offset = np.array([0.2 + 0.3j, 0.1 + 0.4j]), np.array([0.5 + 0.1j, 0.3 + 0.2j])
     # every candidate lies on a translate of the base
@@ -440,7 +474,7 @@ def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
 
 
 def test_smoothness_probe_genus2():
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     summary = scroll_smoothness_probe(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2,
                                       samples=10, seed=42)
     assert summary.fails == 0
@@ -452,14 +486,14 @@ def test_smoothness_probe_genus2():
 def test_probe_gray_zone_is_inconclusive():
     # two nearly identical points: decisive singular ratio falls in the gray
     # zone and must not be reported as pass or fail
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     p = 0.4 + 0.33j
     probe = very_ampleness_cluster_probe(emb, [p, p + 2e-8])
     assert probe.verdict == "inconclusive"
 
 
 def test_cluster_probe_points_are_unit_norm():
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     probe = very_ampleness_cluster_probe(emb, [0.1 + 0.2j, 0.6 + 0.2j])
     assert isinstance(probe, ClusterProbe)
     for point in probe.points:
@@ -471,7 +505,7 @@ def test_any_m_minus_one_points_independent():
     # degree m: every set of m-1 distinct points has full rank
     rng = np.random.default_rng(21)
     for m in (5, 6, 7):
-        emb = elliptic_embedding(m, TAU)
+        emb = ThetaEmbedding(genus=1, period=TAU, degree=m)
         for _ in range(15):
             points = [complex(x + y * TAU) for x, y in rng.random((m - 1, 2))]
             vectors = [theta_basis_eval(emb, z).coords for z in points]
@@ -482,7 +516,7 @@ def test_any_m_minus_one_points_independent():
 
 def test_infinitely_near_cluster_of_length_m_minus_one():
     # m = 7: three distinct points doubled by derivative rows, length 6 <= 6
-    emb = elliptic_embedding(7, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=7)
     probe = very_ampleness_cluster_probe(emb, [0.11 + 0.52j, 0.67 + 0.23j, 0.38 + 0.81j], tangent=1.0)
     assert probe.verdict == "pass"
     assert probe.observed_rank == 6
@@ -660,12 +694,12 @@ def test_probe_summary_does_not_depend_on_block_or_term_budget(monkeypatch, conf
         # lattice sum holds one point, and numpy's matmul forms its three-term
         # products v.(Omega*k + w) with BLAS gemv, not the gemm of a two-point
         # sum: the last bits may move, the verdicts may not
-        assert dataclasses.replace(budgeted, min_margin=default.min_margin) == default
+        assert budgeted._replace(min_margin=default.min_margin) == default
         assert budgeted.min_margin == pytest.approx(default.min_margin, rel=1e-12)
 
 
-@pytest.mark.parametrize("make", [lambda: elliptic_embedding(7, 0.3 + 0.9j),
-                                  lambda: surface_embedding(7, OMEGA)])
+@pytest.mark.parametrize("make", [lambda: ThetaEmbedding(genus=1, period=0.3 + 0.9j, degree=7),
+                                  lambda: ThetaEmbedding(genus=2, period=OMEGA, degree=7)])
 def test_random_bases_drawn_in_one_call_match_one_at_a_time(make):
     from scrolls.theta import _point_from_coords
 
@@ -683,10 +717,10 @@ def test_basis_eval_derivative_is_scaled_theta_derivative():
     from scrolls.theta import _embed
 
     rng = np.random.default_rng(13)
-    curve = elliptic_embedding(7, 0.3 + 0.9j)
+    curve = ThetaEmbedding(genus=1, period=0.3 + 0.9j, degree=7)
     cases = [(curve, complex(x + y * curve.period), 1.0) for x, y in rng.random((4, 2))]
-    cases.append((elliptic_embedding(5, TAU), 3.3 + 2.1j, 0.6 - 0.8j))
-    surface = surface_embedding(7, OMEGA)
+    cases.append((ThetaEmbedding(genus=1, period=TAU, degree=5), 3.3 + 2.1j, 0.6 - 0.8j))
+    surface = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     for _ in range(4):
         z = np.array([1.0, 7.0]) * rng.random(2) + OMEGA @ rng.random(2)
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -714,7 +748,7 @@ def test_points_whose_sections_vanish_are_refused(monkeypatch):
         return centres, np.zeros_like(terms), peaks
 
     monkeypatch.setattr(theta, "_section_terms", vanishing)
-    emb = elliptic_embedding(5, TAU)
+    emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     with pytest.raises(EvaluationError, match="all sections vanish"):
         theta_basis_eval(emb, 0.3 + 0.4j)
     with pytest.raises(EvaluationError, match="zero vectors"):
@@ -732,13 +766,13 @@ def _cache_cases():
     curve_points = [complex(x + y * tau) for x, y in rng.random((3, 2))]
     curve_points += [z + a + b * tau for z in curve_points[:2] for a, b in ((1, 0), (0, 1), (-3, 2))]
     curve_points += [5.7 - 3.2j, -4.1 + 2.6j]
-    cases = [(lambda: elliptic_embedding(7, tau), z, 0.6 - 0.8j) for z in curve_points]
+    cases = [(lambda: ThetaEmbedding(genus=1, period=tau, degree=7), z, 0.6 - 0.8j) for z in curve_points]
     surface_points = [np.array([1.0, 7.0]) * rng.random(2) + OMEGA @ rng.random(2) for _ in range(3)]
     shifts = [np.array([1.0, 0.0]), np.array([0.0, 7.0]), OMEGA[:, 0], 2 * OMEGA[:, 1] - OMEGA[:, 0]]
     surface_points += [z + shift for z in surface_points[:2] for shift in shifts]
     surface_points += [np.array([2.1 + 1.3j, 4.0 + 1.9j]), np.array([-3.0 - 2.2j, 1.5 - 3.1j])]
     tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
-    cases += [(lambda: surface_embedding(7, OMEGA), z, tangent) for z in surface_points]
+    cases += [(lambda: ThetaEmbedding(genus=2, period=OMEGA, degree=7), z, tangent) for z in surface_points]
     return cases
 
 
@@ -762,7 +796,7 @@ def test_point_in_a_fibre_matches_its_own_evaluation():
 def test_genus2_box_is_fixed_by_the_period():
     from scrolls.theta import _section_terms
 
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     side = 2 * emb.truncation_radius + 2
     far = np.array([0.0, 8j])
     for z in (np.zeros(2, dtype=complex), far):
@@ -776,7 +810,7 @@ def test_genus2_box_is_fixed_by_the_period():
 def test_genus2_far_point_is_refused_in_little_memory():
     import tracemalloc
 
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match="overflow"):
@@ -790,7 +824,7 @@ def test_genus2_far_point_is_refused_in_little_memory():
 def test_genus2_far_point_embeds_in_little_memory():
     import tracemalloc
 
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     far = np.array([0.0, 3000j])
     tracemalloc.start()
     try:
@@ -861,8 +895,8 @@ def test_stacked_verdicts_match_the_scalar_rule():
     assert _verdicts(ratios[:0, :2], ranks[:0]).shape == (0,)
 
 
-@pytest.mark.parametrize("make, order", [(lambda: elliptic_embedding(9, 0.3 + 0.9j), 4),
-                                         (lambda: surface_embedding(11, OMEGA), 5)])
+@pytest.mark.parametrize("make, order", [(lambda: ThetaEmbedding(genus=1, period=0.3 + 0.9j, degree=9), 4),
+                                         (lambda: ThetaEmbedding(genus=2, period=OMEGA, degree=11), 5)])
 def test_group_geometry_matches_one_element_at_a_time(make, order):
     from scrolls.theta import _distances, _pair_offset, _point_from_coords
 
@@ -956,7 +990,7 @@ def relative_error(ours, oracle):
     (7, 0.3 + 0.9j, -1.7 + 0.2j),
 ])
 def test_genus1_theta_matches_mpmath(m, tau, z):
-    emb = elliptic_embedding(m, tau)
+    emb = ThetaEmbedding(genus=1, period=tau, degree=m)
     direction = 0.6 - 0.8j
     values, derivatives = mp_theta_genus1(m, tau, z, direction)
     assert relative_error(theta_values(emb, z), values) < 1e-12
@@ -968,7 +1002,7 @@ def test_genus1_theta_matches_mpmath(m, tau, z):
     np.array([2.1 + 1.3j, 4.0 + 1.9j]),  # far from the fundamental domain
 ])
 def test_genus2_theta_matches_mpmath(z):
-    emb = surface_embedding(7, OMEGA)
+    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
     tangent = np.array([0.6 + 0.1j, -0.3 + 0.73j])
     values, derivatives = mp_theta(7, OMEGA, z, tangent)
     assert relative_error(theta_values(emb, z), values) < 1e-12
@@ -990,7 +1024,7 @@ def test_genus3_theta_matches_mpmath():
     (5, 1j, 0.31 + 60.47j),                  # terms near e^57438, beyond the float range
 ], ids=["norm-overflow", "beyond-float-range"])
 def test_far_point_projective_image_matches_mpmath(m, tau, z):
-    point = theta_basis_eval(elliptic_embedding(m, tau), z, 1.0)
+    point = theta_basis_eval(ThetaEmbedding(genus=1, period=tau, degree=m), z, 1.0)
     values, derivatives = mp_theta_genus1(m, tau, z, 1.0, projective=True)
     # the scaling is a positive factor, so no phase is left to fit
     assert np.linalg.norm(point.coords - values) < 1e-12
