@@ -53,6 +53,8 @@ rather than overclaiming.  A point whose sections all vanish gets zero rows,
 which leave only its own base undecided.  The verdicts of a stack are one
 array comparison, tallied by bincount, and a mask of the bases still decided
 narrows the next probe kind.  Everything is deterministic for a fixed seed.
+In genus 1 one call draws a block's first partner candidates, and a miss
+rewinds to its base, which draws alone; genus >= 2 draws base by base.
 """
 
 from __future__ import annotations
@@ -527,10 +529,13 @@ def scroll_smoothness_probe(
     for start in range(0, len(bases), _BLOCK):
         block = bases[start:start + _BLOCK]
         partners, tangents = block + offset, np.ones_like(block)  # grid bases keep the offset
-        for index, base in enumerate(block):
-            if start + index < samples:
-                partners[index] = _draw_partner(emb, shifts, base, rng, offset)
-            if g > 1:
+        drawn = min(max(samples - start, 0), len(block))
+        if g == 1:  # no tangent draws come between the partners
+            partners[:drawn] = _draw_partners(emb, shifts, block[:drawn], rng, offset)
+        else:  # each base's normals follow its partner
+            for index, base in enumerate(block):
+                if index < drawn:
+                    partners[index] = _draw_partner(emb, shifts, base, rng, offset)
                 raw = rng.normal(size=g) + 1j * rng.normal(size=g)
                 tangents[index] = raw / np.linalg.norm(raw)
         fibres, derivatives = translates(block, np.repeat(tangents, k, axis=0))
@@ -551,6 +556,21 @@ def scroll_smoothness_probe(
         probes=passes + fails + inconclusives, passes=passes, fails=fails, inconclusives=inconclusives,
         min_margin=float(min_margin) if min_margin < np.inf else float("nan"),
     )
+
+
+def _draw_partners(emb, shifts, bases, rng, offset) -> np.ndarray:
+    """_draw_partner at each of `bases` in turn, with the same draws: one call
+    gives every base its first candidate, and a miss rewinds to its base."""
+    state = rng.bit_generator.state
+    candidates = _point_from_coords(emb, rng.random((len(bases), 2 * emb.genus)))
+    gaps = _distances(emb, ((candidates - bases)[:, None] - shifts).reshape(-1, emb.genus))
+    miss = np.append(gaps.reshape(len(bases), len(shifts)).min(axis=1) > 1e-3, False).argmin()
+    if miss == len(bases):
+        return candidates
+    rng.bit_generator.state = state
+    rng.random((miss, 2 * emb.genus))  # the first candidates of the bases before the miss
+    head = [*candidates[:miss], _draw_partner(emb, shifts, bases[miss], rng, offset)]
+    return np.concatenate([head, _draw_partners(emb, shifts, bases[miss + 1:], rng, offset)])
 
 
 def _draw_partner(emb, shifts, base, rng, offset) -> np.ndarray:

@@ -724,10 +724,17 @@ PROBE_BITS = [
      (0, 195, 195, 0, 0, "0x1.b823a0ddaaa93p-7")),
     (["probe-elliptic", "--m", "9", "--torsion", "1,0,4", "--samples", "65", "--seed", "3"],
      (0, 243, 243, 0, 0, "0x1.8580e974896c8p-10")),
+    # the two probe commands perfbench times, recorded before the genus-1
+    # partners came to be drawn a block at a time
+    (["probe-elliptic", "--m", "9", "--torsion", "1,0,4", "--samples", "1000", "--seed", "1"],
+     (0, 3048, 3048, 0, 0, "0x1.dcc7c742e7e64p-12")),
+    (["probe-surface", "--d", "7", "--order", "2", "--samples", "400", "--seed", "1"],
+     (0, 1248, 1248, 0, 0, "0x1.2ed0cc3fc2734p-8")),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", PROBE_BITS, ids=["m11", "d7", "m9"])
+@pytest.mark.parametrize("argv, expected", PROBE_BITS,
+                         ids=["m11", "d7", "m9", "bench-elliptic", "bench-surface"])
 def test_probe_payload_bits_pinned(capsys, argv, expected):
     code, env = run_cli_json(capsys, argv)
     payload = env["payload"]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import warnings
@@ -471,6 +472,74 @@ def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
     assert np.array_equal(theta._draw_partner(emb, shifts, base, rng, offset), base + offset)
     reference.random((32, 2 * emb.genus))
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def partner_setup(degree, torsion, bases, seed):
+    """A genus-1 probe's group rows, pairing offset, `bases` random bases and
+    the generator that drew them."""
+    from scrolls import theta
+
+    emb, generator, order = probe_setup(1, degree, TAU, torsion)
+    shifts = theta._rows(emb, cyclic_group(emb, generator, order))
+    rng = np.random.default_rng(seed)
+    points = theta._point_from_coords(emb, rng.random((bases, 2)))
+    return emb, shifts, theta._pair_offset(emb, shifts), points, rng
+
+
+@pytest.mark.parametrize("degree, torsion, bases", [(201, (1, 0, 100), 20_000), (9, (1, 0, 4), 1000)])
+def test_partners_drawn_a_block_at_a_time_match_one_base_at_a_time(degree, torsion, bases):
+    from scrolls import theta
+
+    emb, shifts, offset, points, rng = partner_setup(degree, torsion, bases, seed=1)
+    reference = copy.deepcopy(rng)
+    blocks = [points[start:start + theta._BLOCK] for start in range(0, bases, theta._BLOCK)]
+    batched = np.concatenate([theta._draw_partners(emb, shifts, block, rng, offset) for block in blocks])
+    alone, misses = [], 0  # misses: bases whose first candidate is refused
+    for base in points:
+        state = reference.bit_generator.state
+        first = theta._point_from_coords(emb, reference.random(2))
+        reference.bit_generator.state = state
+        alone.append(theta._draw_partner(emb, shifts, base, reference, offset))
+        misses += not np.array_equal(alone[-1], first)
+    assert np.array_equal(batched, alone)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    if degree == 201:  # 100 translates, each refusing a 2e-3 square: the rewind runs
+        assert misses > 0
+
+
+def test_partners_drawn_a_block_at_a_time_fall_back_to_the_offset(monkeypatch):
+    from scrolls import theta
+
+    emb, shifts, offset, points, rng = partner_setup(9, (1, 0, 4), 10, seed=2)
+    reference = copy.deepcopy(rng)
+    # every candidate lies on a translate of its base
+    monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(np.shape(points)[0]))
+    assert np.array_equal(theta._draw_partners(emb, shifts, points, rng, offset), points + offset)
+    for _ in range(32 * len(points)):
+        reference.random(2)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_genus1_probe_draws_each_sampled_base_a_partner_and_grid_bases_keep_the_offset(monkeypatch):
+    from scrolls import theta
+
+    samples = 70  # the second block holds 6 sampled bases, then the grid
+    emb, shifts, offset, points, reference = partner_setup(9, (1, 0, 4), samples, seed=4)
+    embed, translates = theta._embed, []
+
+    def recorded(emb, points, tangent=None):
+        if tangent is None:  # the partners' translates
+            translates.append(np.array(points))
+        return embed(emb, points, tangent)
+
+    monkeypatch.setattr(theta, "_embed", recorded)
+    summary = scroll_smoothness_probe(emb, complex(shifts[1, 0]), len(shifts), samples=samples, seed=4)
+    assert summary.probes == 3 * (samples + theta._GRID_SIDE ** 2)
+    partners = np.concatenate([[theta._draw_partner(emb, shifts, base, reference, offset) for base in points],
+                               theta._grid_points(emb) + offset])
+    second_block = samples - theta._BLOCK + theta._GRID_SIDE ** 2
+    assert [len(points) for points in translates] == [theta._BLOCK * len(shifts), second_block * len(shifts)]
+    assert np.array_equal(np.concatenate(translates), (partners[:, None] + shifts).reshape(-1, 1))
 
 
 def test_smoothness_probe_genus2():
