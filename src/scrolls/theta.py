@@ -44,17 +44,17 @@ have full rank (the immersion condition).  The subgroup is the paper's cyclic
 one, taken by its generator g and order k, which is refused when 2k exceeds
 sections - 1 and when it is not g's exact order: k distances show that k*g
 lies on the lattice and no earlier multiple does.  Each torus point is
-evaluated once and shared by all three probes.  For a block of base points,
-all fibre points (with their bases' tangents) go through one pass of lattice
-sums of at most _TERMS terms each, their partners through another, and each
-probe kind's ranks are decided by one stacked SVD, by singular value ratios
-with a hard threshold and a gray zone that yields an "inconclusive" verdict
-rather than overclaiming.  A point whose sections all vanish gets zero rows,
-which leave only its own base undecided.  The verdicts of a stack are one
-array comparison, tallied by bincount, and a mask of the bases still decided
+evaluated once and shared by all three probes.  The bases, their partners
+and (genus >= 2) their tangents are all drawn before the first sum.  For a
+block of base points, all fibre points (with their bases' tangents) go
+through one pass of lattice sums of at most _TERMS terms each, their partners
+through another, and each probe kind's ranks are decided by one stacked SVD
+of column-equilibrated rows, by singular value ratios with a hard threshold
+and a gray zone that yields an "inconclusive" verdict rather than
+overclaiming.  A point whose sections all vanish gets zero rows, which leave
+only its own base undecided.  The verdicts of a stack are one array
+comparison, tallied by bincount, and a mask of the bases still decided
 narrows the next probe kind.  Everything is deterministic for a fixed seed.
-In genus 1 one call draws a block's first partner candidates, and a miss
-rewinds to its base, which draws alone; genus >= 2 draws base by base.
 """
 
 from __future__ import annotations
@@ -387,15 +387,20 @@ def cyclic_group(emb: ThetaEmbedding, generator: TorusPoint, order: int) -> list
 
 def _rank(stack, tol: float) -> tuple:
     """The one rank decision behind span_rank and every cluster probe, for a
-    stack (B, rows, n) whose rows are normalized first: a mask of the members
-    without a zero row, and their singular value ratios, ranks and margins
-    from one SVD call.  A tol outside (0, 1), nan included, cannot tell a
-    rank drop from full rank, so it is refused."""
+    stack (B, rows, n): a mask of the members without a zero row, and their
+    singular value ratios, ranks and margins from one SVD call.  Each member's
+    columns are scaled by the power of 2 that brings their largest modulus
+    into [1/2, 1), exactly and keeping the rank, then its rows are normalized.
+    A tol outside (0, 1), nan included, cannot tell a rank drop from full
+    rank, so it is refused."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    matrices = np.asarray(stack, dtype=complex)
+    matrices = np.array(stack, dtype=complex)  # a copy, equilibrated in place
     if matrices.ndim != 3 or matrices.shape[1] == 0:
         raise ValueError("need a nonempty 2-d stack of vectors")
+    exponents = np.frexp(np.abs(matrices).max(axis=1, keepdims=True))[1]
+    for part in (matrices.real, matrices.imag):
+        np.ldexp(part, -exponents, out=part)
     norms = np.linalg.norm(matrices, axis=-1)
     decided = np.all(norms != 0.0, axis=-1)
     singular = np.ones((0, min(matrices.shape[1:])))
@@ -418,8 +423,8 @@ def _rank_one(vectors, tol: float, error: type) -> list:
 def span_rank(vectors, tol: float = HARD_TOL):
     """Numerical rank and margin of a set of coordinate vectors.
 
-    Rows are normalized to unit norm, then rank = number of singular values
-    with sigma_i/sigma_1 >= tol and margin = (smallest counted)/sigma_1.
+    Columns and rows are scaled as in _rank, then rank = number of singular
+    values with sigma_i/sigma_1 >= tol and margin = (smallest counted)/sigma_1.
     """
     _, ranks, margins = _rank_one(vectors, tol, ValueError)
     return int(ranks[0]), float(margins[0])
@@ -502,8 +507,10 @@ def scroll_smoothness_probe(
     runs the fibre independence probe, the two-fibre span probe (partner point
     kept away from the subgroup translates), and the derivative (immersion)
     probe.  Evaluation errors count as inconclusive; the summary is
-    deterministic for fixed inputs.  Bases go in blocks of _BLOCK, and each
-    block's partners and tangents are drawn before any of its points is summed.
+    deterministic for fixed inputs.  Every draw comes before the first sum:
+    the sampled bases, their partners (grid bases keep base + offset) and for
+    genus >= 2 a unit tangent per base; genus 1 keeps the tangent 1.  Blocks
+    of _BLOCK bases then only sum and rank, so no result depends on _BLOCK.
     """
     if 2 * order > emb.degree - 1:  # the immersion probe stacks 2k rows
         raise ValueError(f"group order {order} too large for {emb.degree} sections: "
@@ -517,8 +524,11 @@ def scroll_smoothness_probe(
     if gaps[-1] > 1e-12 or gaps[:-1].min(initial=np.inf) <= 1e-12:
         raise ValueError(f"generator does not have exact order {order} modulo the lattice")
     rng = np.random.default_rng(seed)
-    bases = np.concatenate([_point_from_coords(emb, rng.random((samples, 2 * g))), _grid_points(emb)])
-    offset = _pair_offset(emb, shifts)
+    drawn, grid = _point_from_coords(emb, rng.random((samples, 2 * g))), _grid_points(emb)
+    offset, bases = _pair_offset(emb, shifts), np.concatenate([drawn, grid])
+    partners = np.concatenate([_draw_partners(emb, shifts, drawn, rng, offset), grid + offset])
+    raw = rng.normal(size=bases.shape) + 1j * rng.normal(size=bases.shape) if g > 1 else np.ones_like(bases)
+    tangents = raw / np.linalg.norm(raw, axis=1)[:, None]
 
     def translates(points, tangent=None):  # rows of the k translates of each point
         coords, derivatives = _embed(emb, (points[:, None] + shifts).reshape(-1, g), tangent)
@@ -527,23 +537,13 @@ def scroll_smoothness_probe(
     counts = np.zeros(3, dtype=int)  # indexed as _VERDICTS
     min_margin = np.inf
     for start in range(0, len(bases), _BLOCK):
-        block = bases[start:start + _BLOCK]
-        partners, tangents = block + offset, np.ones_like(block)  # grid bases keep the offset
-        drawn = min(max(samples - start, 0), len(block))
-        if g == 1:  # no tangent draws come between the partners
-            partners[:drawn] = _draw_partners(emb, shifts, block[:drawn], rng, offset)
-        else:  # each base's normals follow its partner
-            for index, base in enumerate(block):
-                if index < drawn:
-                    partners[index] = _draw_partner(emb, shifts, base, rng, offset)
-                raw = rng.normal(size=g) + 1j * rng.normal(size=g)
-                tangents[index] = raw / np.linalg.norm(raw)
-        fibres, derivatives = translates(block, np.repeat(tangents, k, axis=0))
+        block = slice(start, start + _BLOCK)
+        fibres, derivatives = translates(bases[block], np.repeat(tangents[block], k, axis=0))
         # a point whose sections vanish has zero rows; a fibre with one counts
         # one inconclusive and gets no later probe
-        stacks = (fibres, np.concatenate([fibres, translates(partners)[0]], axis=1),
+        stacks = (fibres, np.concatenate([fibres, translates(partners[block])[0]], axis=1),
                   np.concatenate([fibres, derivatives.reshape(fibres.shape)], axis=1))
-        alive = np.ones(len(block), dtype=bool)  # bases decided by every probe kind so far
+        alive = np.ones(len(fibres), dtype=bool)  # bases decided by every probe kind so far
         for stack in stacks:
             decided, ratios, ranks, margins = _rank(stack[alive], tol)
             counts += np.bincount(_verdicts(ratios, ranks), minlength=3)
@@ -559,24 +559,20 @@ def scroll_smoothness_probe(
 
 
 def _draw_partners(emb, shifts, bases, rng, offset) -> np.ndarray:
-    """_draw_partner at each of `bases` in turn, with the same draws: one call
-    gives every base its first candidate, and a miss rewinds to its base."""
-    state = rng.bit_generator.state
-    candidates = _point_from_coords(emb, rng.random((len(bases), 2 * emb.genus)))
-    gaps = _distances(emb, ((candidates - bases)[:, None] - shifts).reshape(-1, emb.genus))
-    miss = np.append(gaps.reshape(len(bases), len(shifts)).min(axis=1) > 1e-3, False).argmin()
-    if miss == len(bases):
-        return candidates
-    rng.bit_generator.state = state
-    rng.random((miss, 2 * emb.genus))  # the first candidates of the bases before the miss
-    head = [*candidates[:miss], _draw_partner(emb, shifts, bases[miss], rng, offset)]
-    return np.concatenate([head, _draw_partners(emb, shifts, bases[miss + 1:], rng, offset)])
-
-
-def _draw_partner(emb, shifts, base, rng, offset) -> np.ndarray:
-    """A random point 1e-3 clear of every translate of `base`; `base + offset` after 32 misses."""
+    """A random point more than 1e-3 from every translate of each of `bases`:
+    each of at most 32 rounds draws, in one call, a candidate for every base
+    still missing one, checked _BLOCK bases at a time; a base missed 32 times
+    keeps `base + offset`."""
+    g, k = emb.genus, len(shifts)
+    partners, todo = bases + offset, np.arange(len(bases))
     for _ in range(32):
-        candidate = _point_from_coords(emb, rng.random(2 * emb.genus))
-        if _distances(emb, candidate - base - shifts).min() > 1e-3:
-            return candidate
-    return base + offset
+        if not todo.size:
+            break
+        candidates = _point_from_coords(emb, rng.random((len(todo), 2 * g)))
+        moves = candidates - bases[todo]
+        gaps = [_distances(emb, (moves[i:i + _BLOCK, None] - shifts).reshape(-1, g)).reshape(-1, k).min(axis=1)
+                for i in range(0, len(todo), _BLOCK)]
+        clear = np.concatenate(gaps) > 1e-3
+        partners[todo[clear]] = candidates[clear]
+        todo = todo[~clear]
+    return partners

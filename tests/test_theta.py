@@ -319,6 +319,22 @@ def test_span_rank_examples():
         span_rank([np.zeros(5), np.ones(5)])
 
 
+def test_span_rank_does_not_depend_on_the_scale_of_a_column():
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+    matrix[:, 2] = [1.0, -0.5j, 0.75, 0.25 + 0.5j]  # dyadic: exact at any power-of-2 scale
+    matrix[3] = 0.5 * matrix[0] - 2j * matrix[1]     # rank 3 of 4
+    shrunk, subnormal = matrix.copy(), matrix.copy()
+    shrunk[:, 5] *= 2.0 ** -600
+    subnormal[:, 2] *= 2.0 ** -1060                 # its largest modulus, 2^-1060, is subnormal
+    assert 0 < np.abs(subnormal[:, 2]).max() < np.finfo(float).tiny
+    expected = span_rank(matrix)
+    assert expected[0] == 3
+    for scaled in (shrunk, subnormal):
+        rank, margin = span_rank(scaled)
+        assert (rank, float.hex(margin)) == (expected[0], float.hex(expected[1]))
+
+
 def test_fibre_independence_quintic():
     emb = ThetaEmbedding(genus=1, period=TAU, degree=5)
     group = cyclic_group(emb, torsion_point(emb, 1, 0, 2).point, 2)
@@ -460,86 +476,94 @@ def test_probe_refuses_an_empty_group_and_negative_samples():
         scroll_smoothness_probe(emb, torsion_point(emb, 1, 0, 2).point, 2, samples=-1, seed=0)
 
 
-def test_draw_partner_falls_back_to_the_offset_after_32_candidates(monkeypatch):
+def partner_setup(genus, degree, period, torsion, bases, seed):
+    """A probe's group rows, pairing offset, `bases` random bases and the
+    generator that drew them."""
     from scrolls import theta
 
-    emb = ThetaEmbedding(genus=2, period=OMEGA, degree=7)
-    shifts = np.reshape(cyclic_group(emb, torsion_point(emb, (0, 1), (0, 0), 2).point, 2), (2, 2))
-    base, offset = np.array([0.2 + 0.3j, 0.1 + 0.4j]), np.array([0.5 + 0.1j, 0.3 + 0.2j])
-    # every candidate lies on a translate of the base
-    monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(np.shape(points)[0]))
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    assert np.array_equal(theta._draw_partner(emb, shifts, base, rng, offset), base + offset)
-    reference.random((32, 2 * emb.genus))
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def partner_setup(degree, torsion, bases, seed):
-    """A genus-1 probe's group rows, pairing offset, `bases` random bases and
-    the generator that drew them."""
-    from scrolls import theta
-
-    emb, generator, order = probe_setup(1, degree, TAU, torsion)
+    emb, generator, order = probe_setup(genus, degree, period, torsion)
     shifts = theta._rows(emb, cyclic_group(emb, generator, order))
     rng = np.random.default_rng(seed)
-    points = theta._point_from_coords(emb, rng.random((bases, 2)))
+    points = theta._point_from_coords(emb, rng.random((bases, 2 * genus)))
     return emb, shifts, theta._pair_offset(emb, shifts), points, rng
 
 
-@pytest.mark.parametrize("degree, torsion, bases", [(201, (1, 0, 100), 20_000), (9, (1, 0, 4), 1000)])
-def test_partners_drawn_a_block_at_a_time_match_one_base_at_a_time(degree, torsion, bases):
+def test_partners_lie_clear_of_every_translate_of_their_base():
     from scrolls import theta
 
-    emb, shifts, offset, points, rng = partner_setup(degree, torsion, bases, seed=1)
-    reference = copy.deepcopy(rng)
-    blocks = [points[start:start + theta._BLOCK] for start in range(0, bases, theta._BLOCK)]
-    batched = np.concatenate([theta._draw_partners(emb, shifts, block, rng, offset) for block in blocks])
-    alone, misses = [], 0  # misses: bases whose first candidate is refused
-    for base in points:
-        state = reference.bit_generator.state
-        first = theta._point_from_coords(emb, reference.random(2))
-        reference.bit_generator.state = state
-        alone.append(theta._draw_partner(emb, shifts, base, reference, offset))
-        misses += not np.array_equal(alone[-1], first)
-    assert np.array_equal(batched, alone)
-    assert rng.bit_generator.state == reference.bit_generator.state
-    if degree == 201:  # 100 translates, each refusing a 2e-3 square: the rewind runs
-        assert misses > 0
+    # 100 translates, each refusing a 2e-3 square: some first candidates miss
+    emb, shifts, offset, points, rng = partner_setup(1, 201, TAU, (1, 0, 100), 20_000, seed=1)
+    first = theta._point_from_coords(emb, copy.deepcopy(rng).random((len(points), 2)))
+    partners = theta._draw_partners(emb, shifts, points, rng, offset)
+    gaps = np.full(len(points), np.inf)
+    for shift in shifts:
+        gaps = np.minimum(gaps, theta._distances(emb, partners - points - shift))
+    assert gaps.min() > 1e-3
+    assert (partners != first).any(axis=1).sum() > 0  # bases whose first candidate missed
+    assert not (partners == points + offset).all(axis=1).any()  # each drew a partner again
 
 
-def test_partners_drawn_a_block_at_a_time_fall_back_to_the_offset(monkeypatch):
+@pytest.mark.parametrize("genus, degree, period, torsion", [
+    (1, 9, TAU, (1, 0, 4)),
+    (2, 7, OMEGA, (0, 1, 0, 0, 2)),
+], ids=["genus1", "genus2"])
+def test_partners_fall_back_to_the_offset_after_32_rounds(monkeypatch, genus, degree, period, torsion):
     from scrolls import theta
 
-    emb, shifts, offset, points, rng = partner_setup(9, (1, 0, 4), 10, seed=2)
+    emb, shifts, offset, points, rng = partner_setup(genus, degree, period, torsion, 70, seed=2)
     reference = copy.deepcopy(rng)
     # every candidate lies on a translate of its base
     monkeypatch.setattr(theta, "_distances", lambda emb, points: np.zeros(np.shape(points)[0]))
     assert np.array_equal(theta._draw_partners(emb, shifts, points, rng, offset), points + offset)
-    for _ in range(32 * len(points)):
-        reference.random(2)
+    for _ in range(32):
+        reference.random((len(points), 2 * genus))
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_genus1_probe_draws_each_sampled_base_a_partner_and_grid_bases_keep_the_offset(monkeypatch):
+def test_genus1_partners_are_the_doubles_drawn_after_the_bases():
+    from scrolls import theta
+
+    emb, shifts, offset, points, rng = partner_setup(1, 9, TAU, (1, 0, 4), 1000, seed=1)
+    reference = copy.deepcopy(rng)
+    partners = theta._draw_partners(emb, shifts, points, rng, offset)
+    assert np.array_equal(partners, theta._point_from_coords(emb, reference.random((len(points), 2))))
+    assert rng.bit_generator.state == reference.bit_generator.state  # one round: no base missed
+
+
+@pytest.mark.parametrize("genus, degree, period, torsion", [
+    (1, 9, TAU, (1, 0, 4)),
+    (2, 7, OMEGA, (0, 1, 0, 0, 2)),
+], ids=["genus1", "genus2"])
+def test_probe_draws_bases_partners_then_tangents_and_grid_bases_keep_the_offset(
+        monkeypatch, genus, degree, period, torsion):
     from scrolls import theta
 
     samples = 70  # the second block holds 6 sampled bases, then the grid
-    emb, shifts, offset, points, reference = partner_setup(9, (1, 0, 4), samples, seed=4)
-    embed, translates = theta._embed, []
+    emb, shifts, offset, points, reference = partner_setup(genus, degree, period, torsion, samples, seed=4)
+    grid = theta._grid_points(emb)
+    partners = np.concatenate([theta._draw_partners(emb, shifts, points, reference, offset), grid + offset])
+    tangents = np.ones_like(partners)
+    if genus > 1:  # one normal call for the real parts of every base, one for the imaginary
+        raw = reference.normal(size=partners.shape) + 1j * reference.normal(size=partners.shape)
+        tangents = raw / np.linalg.norm(raw, axis=1)[:, None]
+    embed, recorded = theta._embed, {"partners": [], "tangents": []}
 
-    def recorded(emb, points, tangent=None):
+    def record(emb, points, tangent=None):
         if tangent is None:  # the partners' translates
-            translates.append(np.array(points))
+            recorded["partners"].append(np.array(points))
+        else:
+            recorded["tangents"].append(np.array(tangent))
         return embed(emb, points, tangent)
 
-    monkeypatch.setattr(theta, "_embed", recorded)
-    summary = scroll_smoothness_probe(emb, complex(shifts[1, 0]), len(shifts), samples=samples, seed=4)
+    monkeypatch.setattr(theta, "_embed", record)
+    summary = scroll_smoothness_probe(emb, shifts[1] if genus > 1 else complex(shifts[1, 0]), len(shifts),
+                                      samples=samples, seed=4)
     assert summary.probes == 3 * (samples + theta._GRID_SIDE ** 2)
-    partners = np.concatenate([[theta._draw_partner(emb, shifts, base, reference, offset) for base in points],
-                               theta._grid_points(emb) + offset])
     second_block = samples - theta._BLOCK + theta._GRID_SIDE ** 2
-    assert [len(points) for points in translates] == [theta._BLOCK * len(shifts), second_block * len(shifts)]
-    assert np.array_equal(np.concatenate(translates), (partners[:, None] + shifts).reshape(-1, 1))
+    k = len(shifts)
+    assert [len(points) for points in recorded["partners"]] == [theta._BLOCK * k, second_block * k]
+    assert np.array_equal(np.concatenate(recorded["partners"]), (partners[:, None] + shifts).reshape(-1, genus))
+    assert np.array_equal(np.concatenate(recorded["tangents"]), np.repeat(tangents, k, axis=0))
 
 
 def test_smoothness_probe_genus2():
@@ -594,11 +618,10 @@ def test_infinitely_near_cluster_of_length_m_minus_one():
 # ------------------------------------------------- probe engine: pins, counts
 
 # (genus, degree, torsion, samples, seed) -> (probes, passes, fails,
-# inconclusives, float.hex(min_margin)), recorded before the probe engine
-# evaluated each torus point once; the m = 11, Im(tau) = 6 row was recorded
-# when each point's terms came to be scaled by the largest, and the genus-3
-# row when the probe came to take any genus.  The m = 11 case has
-# fibre points whose terms pass 1e154, beyond an unscaled norm, and
+# inconclusives, float.hex(min_margin)), re-recorded when every random draw
+# moved ahead of the lattice sums and the rank decision came to equilibrate
+# columns; each row kept its counts.  The m = 11 case has fibre points whose
+# terms pass 1e154, beyond an unscaled norm, and
 # test_m11_points_beyond_the_norm_range_match_mpmath checks them.  Every
 # decisive ratio of these rows lies at least three decades from the gray-zone
 # cutoffs, so their verdict counts are exact across BLAS builds; min_margin
@@ -606,18 +629,20 @@ def test_infinitely_near_cluster_of_length_m_minus_one():
 # in the last bits.  A change to any verdict must update
 # this table with its evidence.
 PINNED_SUMMARIES = [
-    ((1, 5, 1j, (1, 0, 2), 30, 7), (138, 138, 0, 0, "0x1.7c190c08fe9b0p-6")),
-    ((1, 7, 1j, (1, 0, 3), 30, 11), (138, 138, 0, 0, "0x1.5f3d10501e221p-8")),
-    ((1, 9, 1j, (1, 0, 4), 20, 3), (108, 108, 0, 0, "0x1.8580e974896b2p-10")),
-    ((1, 11, 0.1 + 6j, (0, 1, 5), 12, 2), (84, 84, 0, 0, "0x1.d3b3d8483622fp-8")),
-    ((2, 7, OMEGA, (0, 1, 0, 0, 2), 12, 42), (84, 84, 0, 0, "0x1.2d4ee7c994785p-7")),
-    ((2, 11, OMEGA, (0, 1, 0, 0, 5), 4, 5), (60, 60, 0, 0, "0x1.13ab4be44e28cp-7")),
-    ((3, 9, OMEGA3, (0, 0, 1, 0, 0, 0, 2), 40, 1), (168, 168, 0, 0, "0x1.a9831b5c323a4p-7")),
+    ((1, 5, 1j, (1, 0, 2), 30, 7), (138, 138, 0, 0, "0x1.da0c71c9b6e0dp-5")),
+    ((1, 7, 1j, (1, 0, 3), 30, 11), (138, 138, 0, 0, "0x1.ea9745b9ad8abp-5")),
+    ((1, 9, 1j, (1, 0, 4), 20, 3), (108, 108, 0, 0, "0x1.a198e2737d297p-6")),
+    ((1, 11, 0.1 + 6j, (0, 1, 5), 12, 2), (84, 84, 0, 0, "0x1.22a52a85d2960p-7")),
+    ((2, 7, OMEGA, (0, 1, 0, 0, 2), 12, 42), (84, 84, 0, 0, "0x1.2dc531208c664p-8")),
+    ((2, 11, OMEGA, (0, 1, 0, 0, 5), 4, 5), (60, 60, 0, 0, "0x1.2a110050c0ecap-6")),
+    ((3, 9, OMEGA3, (0, 0, 1, 0, 0, 0, 2), 40, 1), (168, 168, 0, 0, "0x1.b265f1a63f8b2p-7")),
 ]
 # The d = 9 torsion (1,0,0,0,3) case fails today (ROADMAP item 2).  Its
 # decisive ratios sit next to the gray-zone cutoffs, so only the failure and
 # the probe count (set by which bases evaluate, not by any SVD) are pinned;
-# with this numpy build it gives (66, 43, 8, 15, "0x1.0c846ff8a45a3p-26").
+# with this numpy build it gives (66, 43, 11, 12, "0x1.0f4339c191c8fp-26"),
+# and the CLI's probe-surface --d 9 --torsion 1,0,0,0,3 --samples 6 --seed 1
+# gives 66 probes: 44 pass, 7 fail, 15 inconclusive, exit 1.
 GRAY_SUMMARY = ((2, 9, OMEGA, (1, 0, 0, 0, 3), 6, 42), 66)
 
 
@@ -923,7 +948,9 @@ def test_stacked_rank_matches_one_matrix_at_a_time():
     rng = np.random.default_rng(23)
     stack = rng.normal(size=(6, 4, 9)) + 1j * rng.normal(size=(6, 4, 9))
     stack[2, 3] = 2.5 * stack[2, 0] - 1j * stack[2, 1]  # rank 3 of 4
+    given = stack.copy()
     decided, stacked_ratios, ranks, margins = _rank(stack, HARD_TOL)
+    assert np.array_equal(stack, given)  # the caller's stack is not equilibrated in place
     assert decided.tolist() == [True] * 6
     assert ranks.tolist() == [4, 4, 3, 4, 4, 4]
     for matrix, ratios, rank, margin in zip(stack, stacked_ratios, ranks, margins):
@@ -931,8 +958,11 @@ def test_stacked_rank_matches_one_matrix_at_a_time():
         assert alone_decided.tolist() == [True]
         assert np.array_equal(ratios, alone_ratios[0])
         assert (rank, float.hex(margin)) == (alone_ranks[0], float.hex(alone_margins[0]))
-        # the one-matrix arithmetic written out
-        singular = np.linalg.svd(matrix / np.linalg.norm(matrix, axis=1)[:, None], compute_uv=False)
+        # the one-matrix arithmetic written out: columns scaled by 2^-e, e the
+        # exponent of their largest modulus, then rows normalized
+        exponents = np.frexp(np.abs(matrix).max(axis=0))[1]
+        scaled = np.ldexp(matrix.real, -exponents) + 1j * np.ldexp(matrix.imag, -exponents)
+        singular = np.linalg.svd(scaled / np.linalg.norm(scaled, axis=1)[:, None], compute_uv=False)
         assert np.array_equal(ratios, singular / singular[0])
         assert float.hex(margin) == float.hex(float(ratios[rank - 1]))
     # a zero row leaves its own member undecided and no other
