@@ -26,14 +26,13 @@ the two results.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import comb, factorial
 from typing import NamedTuple
 
 from .ring import (
     RingShape,
     TruncPoly,
-    binomial,
     make_poly,
     power_signed,
     product_coefficient,
@@ -78,7 +77,7 @@ class ScrollData(NamedTuple("ScrollData", [("n", int), ("k", int), ("l", int), (
         Riemann-Roch gives cn >= n! * l for any l-section embedding, with
         equality exactly for a complete linear system.
         """
-        floor = math.factorial(self.n) * self.l
+        floor = factorial(self.n) * self.l
         if self.cn == floor:
             return "complete"
         return "incomplete" if self.cn > floor else "impossible"
@@ -110,7 +109,7 @@ def hyperplane_power_coefficient(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     engine = power_signed(_one_plus(RingShape(n, k - 1), 0), n + k - 1).coeffs.get((0, k - 1), 0)
-    closed = binomial(n + k - 1, k - 1)
+    closed = comb(n + k - 1, k - 1)
     if engine != closed:
         raise EngineMismatchError(
             f"hyperplane power at (n={n}, k={k}): engine {engine} != closed form {closed}"
@@ -134,7 +133,7 @@ def top_chern_normal(n: int, k: int, l: int) -> int:
     engine = product_coefficient(
         power_signed(_one_plus(shape, 1), l), power_signed(_one_plus(shape, 0), -k), n, k - 1
     )
-    closed = binomial(l, n) * binomial(l - n - k, k - 1)
+    closed = comb(l, n) * comb(l - n - k, k - 1)
     if engine != closed:
         raise EngineMismatchError(
             f"top Chern coefficient at (n={n}, k={k}, l={l}): engine {engine} != closed form {closed}"

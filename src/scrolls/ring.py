@@ -19,7 +19,6 @@ at most c_cap + h_cap + 1 factors multiplied out for a nilpotent element.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -165,15 +164,6 @@ def product_coefficient(a: TruncPoly, b: TruncPoly, i: int, j: int) -> Rational:
         if v2 is not None:
             total += v1 * v2
     return _canon(total)
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact C(a, b) for a >= 0, with C(a, b) = 0 when b < 0 or b > a."""
-    if a < 0:
-        raise ValueError(f"binomial expects a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def power_signed(p: TruncPoly, e: int) -> TruncPoly:

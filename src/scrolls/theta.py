@@ -47,14 +47,16 @@ lies on the lattice and no earlier multiple does.  Each torus point is
 evaluated once and shared by all three probes.  The bases, their partners
 and (genus >= 2) their tangents are all drawn before the first sum.  For a
 block of base points, all fibre points (with their bases' tangents) go
-through one pass of lattice sums of at most _TERMS terms each, their partners
-through another, and each probe kind's ranks are decided by one stacked SVD
-of column-equilibrated rows, by singular value ratios with a hard threshold
-and a gray zone that yields an "inconclusive" verdict rather than
-overclaiming.  A point whose sections all vanish gets zero rows, which leave
-only its own base undecided.  The verdicts of a stack are one array
-comparison, tallied by bincount, and a mask of the bases still decided
-narrows the next probe kind.  Everything is deterministic for a fixed seed.
+through one pass of lattice sums, their partners through another.  Each
+lattice-sum call holds as many whole points as fit in _TERMS terms, or one
+point alone if it has more (every genus-3 point: 15,552 terms).  Each probe
+kind's ranks are decided by one stacked SVD of column-equilibrated rows, by
+singular value ratios with a hard threshold and a gray zone that yields an
+"inconclusive" verdict rather than overclaiming.  A point whose sections all
+vanish gets zero rows, which leave only its own base undecided.  The verdicts
+of a stack are one array comparison, tallied by bincount, and a mask of the
+bases still decided narrows the next probe kind.  Everything is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ def _embed(emb: ThetaEmbedding, points: Sequence[TorusPoint], tangent=None) -> t
     """Unit coordinate rows of `points` and, with a tangent (one direction or
     one per point), their derivative rows divided by the same norms (else
     None).  A point whose sections all vanish gets zero rows, which leave its
-    rank probes undecided.  Each lattice sum covers at most _TERMS terms."""
+    rank probes undecided.  Each lattice-sum call holds as many whole points
+    as fit in _TERMS terms, or one point alone if it has more."""
     z = _rows(emb, points)
     if tangent is not None:
         tangent = np.broadcast_to(_rows(emb, tangent), z.shape)
@@ -511,6 +514,7 @@ def scroll_smoothness_probe(
     the sampled bases, their partners (grid bases keep base + offset) and for
     genus >= 2 a unit tangent per base; genus 1 keeps the tangent 1.  Blocks
     of _BLOCK bases then only sum and rank, so no result depends on _BLOCK.
+    A sample count whose draws cannot be allocated is refused by name.
     """
     if 2 * order > emb.degree - 1:  # the immersion probe stacks 2k rows
         raise ValueError(f"group order {order} too large for {emb.degree} sections: "
@@ -523,12 +527,15 @@ def scroll_smoothness_probe(
     gaps = _distances(emb, np.concatenate([shifts[1:], shifts[-1:] + _rows(emb, generator)]))
     if gaps[-1] > 1e-12 or gaps[:-1].min(initial=np.inf) <= 1e-12:
         raise ValueError(f"generator does not have exact order {order} modulo the lattice")
-    rng = np.random.default_rng(seed)
-    drawn, grid = _point_from_coords(emb, rng.random((samples, 2 * g))), _grid_points(emb)
-    offset, bases = _pair_offset(emb, shifts), np.concatenate([drawn, grid])
-    partners = np.concatenate([_draw_partners(emb, shifts, drawn, rng, offset), grid + offset])
-    raw = rng.normal(size=bases.shape) + 1j * rng.normal(size=bases.shape) if g > 1 else np.ones_like(bases)
-    tangents = raw / np.linalg.norm(raw, axis=1)[:, None]
+    rng, grid, offset = np.random.default_rng(seed), _grid_points(emb), _pair_offset(emb, shifts)
+    try:  # the draws hold every sample at once
+        drawn = _point_from_coords(emb, rng.random((samples, 2 * g)))
+        bases = np.concatenate([drawn, grid])
+        partners = np.concatenate([_draw_partners(emb, shifts, drawn, rng, offset), grid + offset])
+        raw = rng.normal(size=bases.shape) + 1j * rng.normal(size=bases.shape) if g > 1 else np.ones_like(bases)
+        tangents = raw / np.linalg.norm(raw, axis=1)[:, None]
+    except MemoryError:
+        raise ConfigurationError(f"cannot allocate the draws for {samples} samples") from None
 
     def translates(points, tangent=None):  # rows of the k translates of each point
         coords, derivatives = _embed(emb, (points[:, None] + shifts).reshape(-1, g), tangent)

@@ -22,7 +22,6 @@ import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from .invariants import ScrollData, ScrollReport, build_report
-from .ring import binomial
 
 FAMILY_DEGREE_NOTE = (
     "family degree fixed to 2*(2k+3) (type (1, 2k+3), linearly normal in P^(2k+2)); "
@@ -110,8 +109,8 @@ def sweep_records(n_range: Iterable[int], k_range: Iterable[int]) -> Iterator[In
                     lhs = lhs * ((n + k - 1) * m) // ((k - 1) * (m - 2))
                     rhs = rhs * (k * (m - 1) * m) // ((k - 1) * (m - n - 1) * (m - n))
                 else:
-                    lhs = binomial(n + k - 1, k - 1) * m * factorial
-                    rhs = k * binomial(m, n)
+                    lhs = math.comb(n + k - 1, k - 1) * m * factorial
+                    rhs = k * math.comb(m, n)
                 previous = k
                 relation = "eq" if lhs == rhs else ("gt" if lhs > rhs else "lt")
                 yield InequalityRecord(n, k, lhs, rhs, relation)

@@ -9,12 +9,13 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from scrolls.cli import main
 from scrolls.invariants import ScrollData, build_report, top_chern_normal
-from scrolls.ring import RingShape, add, binomial, make_poly, mul, one, power_signed
+from scrolls.ring import RingShape, add, make_poly, mul, one, power_signed
 from scrolls.theta import (
     ThetaEmbedding,
     projective_residual,
@@ -69,7 +70,7 @@ def test_criterion_03_engine_matches_closed_form():
     for n in range(1, 31):
         for k in range(1, 31):
             l = 2 * n + 2 * k - 1
-            expected = binomial(n + k - 1, n) * binomial(l, n)
+            expected = comb(n + k - 1, n) * comb(l, n)
             if top_chern_normal(n, k, l) != expected:
                 ok = False
     elapsed = time.perf_counter() - start

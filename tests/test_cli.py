@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import csv
 import io
@@ -87,7 +86,7 @@ def test_invariants_bad_geometry_is_config_error(capsys):
 
 def test_engine_mismatch_is_a_failed_verification(capsys, monkeypatch):
     # a closed form that disagrees with the ring engine is a failed check, not a usage error
-    monkeypatch.setattr(scrolls.invariants, "binomial", lambda a, b: -1)
+    monkeypatch.setattr(scrolls.invariants, "comb", lambda a, b: -1)
     code, env = run_cli_json(capsys, ["invariants", "--n", "2", "--k", "2", "--l", "7", "--cn", "14"])
     message = "hyperplane power at (n=2, k=2): engine 3 != closed form -1"
     assert code == 1
@@ -107,7 +106,7 @@ def test_top_chern_mismatch_is_a_failed_verification(capsys, monkeypatch):
 
 
 def test_family_member_with_double_points_is_a_failed_verification(capsys, monkeypatch):
-    forced = scrolls.invariants.build_report(scrolls.ScrollData(n=3, k=2, l=9, cn=54))
+    forced = scrolls.invariants.build_report(scrolls.invariants.ScrollData(n=3, k=2, l=9, cn=54))
     monkeypatch.setattr(scrolls.verifier, "build_report", lambda data: forced)
     code, env = run_cli_json(capsys, ["family", "--k-max", "2"])
     message = "family member k=2 has nonzero double point number 2592"
@@ -587,8 +586,6 @@ def test_exact_cli_import_leaves_numpy_unloaded(tmp_path):
         "    assert scrolls.cli.main(argv.split()) == 0, argv\n"
         "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
         "assert not loaded, f'loaded by the exact commands: {sorted(loaded)}'\n"
-        "from scrolls import ThetaEmbedding, theta_basis_eval\n"
-        "assert callable(theta_basis_eval) and ThetaEmbedding.__name__ == 'ThetaEmbedding'\n"
     )
     commands = [
         "invariants --n 2 --k 2 --l 7 --cn 14",
@@ -622,15 +619,6 @@ def test_probe_cli_loads_dataclasses_only_with_numpy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script, *argvs], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert all((tmp_path / str(i)).stat().st_size for i in range(len(commands)))
-
-def test_package_exports_resolve():
-    # the eager imports and the lazily loaded theta names all resolve
-    tree = ast.parse(Path(scrolls.__file__).read_text())
-    names = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-             for alias in node.names]
-    assert "build_report" in names and "very_ampleness_cluster_probe" in scrolls._THETA_NAMES
-    for name in [*names, *sorted(scrolls._THETA_NAMES)]:
-        assert getattr(scrolls, name) is not None, name
 
 
 def test_probe_elliptic(capsys):
@@ -864,6 +852,15 @@ def test_non_finite_period_is_config_error(capsys, argv):
     code, env = run_cli_json(capsys, argv)
     assert code == 3
     assert "period entries must be finite" in env["payload"]["message"]
+
+
+@pytest.mark.parametrize("command", [["probe-elliptic", "--m", "9"], ["probe-surface", "--d", "7"]])
+def test_unallocatable_sample_count_is_config_error(capsys, command):
+    # the draws for 1e11 samples need 1.46 TiB (genus 1) or twice that (genus 2):
+    # numpy refuses the request at once and allocates nothing
+    code, env = run_cli_json(capsys, [*command, "--samples", "100000000000"])
+    assert code == 3
+    assert env["payload"] == {"kind": "error", "message": "cannot allocate the draws for 100000000000 samples"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "2", "1", "0", "-1"])

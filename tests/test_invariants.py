@@ -15,7 +15,6 @@ from scrolls.invariants import (
     hyperplane_power_coefficient,
     top_chern_normal,
 )
-from scrolls.ring import binomial
 
 
 def test_hyperplane_power_examples():
@@ -28,9 +27,9 @@ def test_hyperplane_power_examples():
 def test_hyperplane_power_grid_agrees_with_binomial():
     for n in range(1, 11):
         for k in range(1, 11):
-            assert hyperplane_power_coefficient(n, k) == binomial(n + k - 1, k - 1)
+            assert hyperplane_power_coefficient(n, k) == math.comb(n + k - 1, k - 1)
     for n, k in ((300, 300), (1000, 1), (1, 1000)):
-        assert hyperplane_power_coefficient(n, k) == binomial(n + k - 1, k - 1)
+        assert hyperplane_power_coefficient(n, k) == math.comb(n + k - 1, k - 1)
 
 
 def test_top_chern_examples():
@@ -58,7 +57,7 @@ def test_top_chern_general_l_closed_form():
     for n in range(1, 7):
         for k in range(1, 7):
             for l in (n + k, n + k + 1, 2 * n + 2 * k - 1, 2 * n + 2 * k + 3):
-                expected = binomial(l, n) * binomial(l - n - k, k - 1)
+                expected = math.comb(l, n) * math.comb(l - n - k, k - 1)
                 assert top_chern_normal(n, k, l) == expected
 
 
@@ -129,7 +128,7 @@ def test_build_report_runs_each_engine_extraction_once(monkeypatch):
     assert calls == {"top_chern_normal": 1, "hyperplane_power_coefficient": 1}
     # the closed forms, with b = C(n+k-1, k-1) = 4 and t = C(l, n) C(l-n-k, k-1) = 336:
     # deg (1/k) b cn and double points (1/k) cn [(1/k) b^2 cn - t]
-    b, t = binomial(4, 1), binomial(9, 3) * binomial(4, 1)
+    b, t = math.comb(4, 1), math.comb(9, 3) * math.comb(4, 1)
     assert report.deg_Y == Fraction(b * 54, 2) == 108
     assert report.double_point == Fraction(54, 2) * (Fraction(b * b * 54, 2) - t) == 2592
 
@@ -143,14 +142,14 @@ def test_top_chern_normal_makes_no_ring_products(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(ring, "mul", counted)
-    assert top_chern_normal(30, 30, 119) == binomial(119, 30) * binomial(59, 29)
+    assert top_chern_normal(30, 30, 119) == math.comb(119, 30) * math.comb(59, 29)
     assert calls["mul"] == 0
     # nor does the whole report: C(n+k-1, k-1) is read from (1+h)^(n+k-1),
     # another power of a unit
     for n, k in ((1, 1), (2, 1), (1, 5), (30, 30)):
         l = 2 * n + 2 * k - 1
         report = build_report(ScrollData(n, k, l, math.factorial(n) * l))
-        assert report.deg_Y == Fraction(binomial(n + k - 1, k - 1) * math.factorial(n) * l, k)
+        assert report.deg_Y == Fraction(math.comb(n + k - 1, k - 1) * math.factorial(n) * l, k)
     assert calls["mul"] == 0
 
 

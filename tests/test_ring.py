@@ -12,7 +12,6 @@ from scrolls.ring import (
     ShapeMismatchError,
     TruncPoly,
     add,
-    binomial,
     inverse,
     make_poly,
     mul,
@@ -195,17 +194,6 @@ def test_product_coefficient_checks_shape_and_range():
     for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(ExponentRangeError):
             product_coefficient(p, p, i, j)
-
-
-def test_binomial_values():
-    assert binomial(7, 2) == 21
-    assert binomial(5, 0) == 1
-    assert binomial(9, 3) == 84
-    assert binomial(4, 7) == 0
-    assert binomial(4, -2) == 0
-    assert binomial(240, 60) > 10**57  # no overflow
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_repr_mentions_generators():

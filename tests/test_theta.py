@@ -118,6 +118,26 @@ def test_lattice_sum_terms_beyond_float_range_are_refused():
         emb = ThetaEmbedding(genus=1, period=1e305j, degree=9)
         assert scroll_smoothness_probe(emb, 0.5, 2, samples=1, seed=42).probes > 0
 
+
+def test_raw_sums_refuse_overflow_but_projective_rows_do_not():
+    # the raw values and derivatives multiply exp(M) back: at Im z = 5 the values reach
+    # 3.5e170, at Im z = 10 M exceeds 600 and both refuse; the unit rows never multiply it
+    emb = ThetaEmbedding(genus=1, period=1j, degree=5)
+    message = "lattice sum would overflow; move z toward the fundamental domain"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, derivatives = theta_values(emb, 0.3 + 5j), theta_derivatives(emb, 0.3 + 5j, 1)
+        assert 3.5e170 < np.abs(values).max() < 3.6e170
+        assert np.all(np.isfinite(derivatives)) and np.abs(derivatives).max() > 1e170
+        for raw in (theta_values, lambda emb, z: theta_derivatives(emb, z, 1)):
+            with pytest.raises(ConfigurationError) as refused:
+                raw(emb, 0.3 + 10j)
+            assert str(refused.value) == message
+        point = theta_basis_eval(emb, 0.3 + 10j, 1)
+    assert np.linalg.norm(point.coords) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.isfinite(point.derivative))
+
+
 def test_truncation_radius_positive_and_scaling():
     assert ThetaEmbedding(genus=1, period=1j, degree=5).truncation_radius >= 1
     # smaller Im(tau) needs a wider window
