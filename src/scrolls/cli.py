@@ -64,16 +64,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-class ReportEnvelope:
-    def __init__(self, version, command, timestamp, params, payload, warnings):
-        # vars(envelope) is the JSON object, its keys in this order
-        self.version, self.command, self.timestamp = version, command, timestamp
-        self.params, self.payload, self.warnings = params, payload, warnings
-
-    def __repr__(self) -> str:
-        return f"ReportEnvelope({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
 def _report_dict(report: ScrollReport) -> dict:
     data = report.data
     return {
@@ -193,9 +183,10 @@ def _exact_int_strings():
         sys.set_int_max_str_digits(previous)
 
 
-def run(command: str, **params) -> tuple[ReportEnvelope, int]:
+def run(command: str, **params) -> tuple[dict, int]:
     """Run one subcommand with its flags as keyword arguments; never raises
-    for bad numeric input.  The envelope echoes `params` as passed."""
+    for bad numeric input.  The envelope is the JSON object as a dict, and
+    echoes `params` as passed."""
     try:
         # lifted here too for library callers of run(); main() nests it
         with _exact_int_strings():
@@ -208,14 +199,9 @@ def run(command: str, **params) -> tuple[ReportEnvelope, int]:
         payload = {"kind": "error", "message": str(exc)}
         warnings = [f"configuration error: {exc}"]
         code = EXIT_USAGE
-    envelope = ReportEnvelope(
-        version=__version__,
-        command=command,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        params=params,
-        payload=payload,
-        warnings=warnings,
-    )
+    envelope = {"version": __version__, "command": command,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "params": params, "payload": payload, "warnings": warnings}
     return envelope, code
 
 
@@ -256,32 +242,31 @@ def _spans(ns: range, ks: range, count: int) -> list:
              for row in range(a // width, -(-b // width))] for a, b in zip(cuts, cuts[1:])]
 
 
-def _write_span(rows: list, out, template, strip: int = 0) -> tuple:
+def _write_span(rows: list, out, template, strip: int = 0) -> list:
     """Write the records of `rows` with `template` (None: none), the first
-    `strip` characters left out; return whether the classification holds and
-    the pairs where "eq iff n <= 2" fails."""
-    holds, exceptions = True, []
+    `strip` characters left out; return the (n, k, relation) of each record
+    that breaks "eq for n <= 2, gt above"."""
+    broken = []
     for n, ks in rows:
         records = sweep_records((n,), ks)
+        expected = "eq" if n <= 2 else "gt"
         while batch := list(itertools.islice(records, 256)):
             if template is not None:
                 out.write("".join(map(template.__mod__, batch))[strip:])
                 strip = 0
-            if [rec.relation for rec in batch].count("eq" if n <= 2 else "gt") < len(batch):
-                holds = False
-                exceptions += [(n, rec.k) for rec in batch if (rec.relation == "eq") != (n <= 2)]
-    return holds, exceptions
+            broken += [(n, rec.k, rec.relation) for rec in batch if rec.relation != expected]
+    return broken
 
 
-def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> None:
+def _write_records(envelope: dict, out, template, strip: int = 0) -> None:
     """Write the sweep's records (see _write_span); set the classification
     flag and the equality set.  From _FORK_MIN_PAIRS on, a forked child writes
     each span but the first into one temp file, which the parent copies to
-    `out` after its own, in order.  The child exits 0 when its span's
-    classification holds, which leaves no exception pair, and 2 when it does
-    not; the parent then classifies that span's rows again, writing nothing.
-    The bytes do not depend on the CPU count."""
-    payload = envelope.payload
+    `out` after its own, in order.  The child exits 0 when its span holds no
+    broken record and 2 when it does; the parent then classifies that span's
+    rows again, writing nothing, to list them.  The bytes do not depend on
+    the CPU count."""
+    payload = envelope["payload"]
     ns, ks = payload["records"]
     fork = hasattr(os, "fork") and len(ns) * len(ks) >= _FORK_MIN_PAIRS
     first, *rest = _spans(ns, ks, _cpu_count() if fork else 1)
@@ -294,16 +279,16 @@ def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> N
                 if pid == 0:  # never returns: it would flush the parent's buffers, run its cleanup
                     status = 1
                     try:
-                        holds, _ = _write_span(rows, records, template)
+                        broken = _write_span(rows, records, template)
                         records.flush()
-                        status = 0 if holds else 2
+                        status = 2 if broken else 0
                     except BaseException:
                         sys.excepthook(*sys.exc_info())  # before os._exit drops it
                         raise
                     finally:
                         os._exit(status)
                 children.append((pid, rows, records))
-            summaries = [_write_span(first, out, template, strip)]
+            broken = _write_span(first, out, template, strip)
             while children:
                 pid, rows, records = children[0]
                 status = os.waitpid(pid, 0)[1]
@@ -312,20 +297,20 @@ def _write_records(envelope: ReportEnvelope, out, template, strip: int = 0) -> N
                     raise RuntimeError(f"sweep span process {pid} failed, wait status {status}")
                 records.seek(0)
                 shutil.copyfileobj(records, out)
-                summaries.append(_write_span(rows, None, None) if status else (True, []))
+                if status:
+                    broken += _write_span(rows, None, None)
         finally:
             for pid, *_ in children:  # left only when the run failed
                 os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
-    holds, exceptions = zip(*summaries)
-    exceptions = set(itertools.chain(*exceptions))
-    payload["classification_holds"] = all(holds)
+    payload["classification_holds"] = not broken
     violated = "equality classification violated on this grid"
-    if not all(holds) and violated not in envelope.warnings:  # once, however often rendered
-        envelope.warnings.append(violated)
+    if broken and violated not in envelope["warnings"]:  # once, however often rendered
+        envelope["warnings"].append(violated)
+    unequal = {(n, k) for n, k, _ in broken if n <= 2}
     payload["equality_set"] = itertools.chain(
-        ((n, k) for n in range(ns[0], min(ns[-1], 2) + 1) for k in ks if (n, k) not in exceptions),
-        sorted(pair for pair in exceptions if pair[0] > 2))
+        ((n, k) for n in range(ns[0], min(ns[-1], 2) + 1) for k in ks if (n, k) not in unequal),
+        sorted((n, k) for n, k, relation in broken if n > 2 and relation == "eq"))
 
 
 def _complex_json(value) -> list:
@@ -335,15 +320,15 @@ def _complex_json(value) -> list:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def write_json(envelope: ReportEnvelope, out) -> None:
-    payload = envelope.payload
+def write_json(envelope: dict, out) -> None:
+    payload = envelope["payload"]
     if payload.get("kind") != "sweep":
-        out.write(json.dumps(vars(envelope), indent=2, default=_complex_json) + "\n")
+        out.write(json.dumps(envelope, indent=2, default=_complex_json) + "\n")
         return
 
     def around_lists() -> list:
         # "\0" (JSON "\u0000") marks the two lists; no other field can hold it
-        data = dict(vars(envelope), payload=dict(payload, records="\0", equality_set="\0"))
+        data = dict(envelope, payload=dict(payload, records="\0", equality_set="\0"))
         return json.dumps(data, indent=2, default=_complex_json).split('"\\u0000"')
 
     # each record and pair carries its ",\n" separator; the first one's comma is dropped
@@ -369,9 +354,9 @@ _CSV_COLUMNS = {
 }
 
 
-def write_csv(envelope: ReportEnvelope, out) -> None:
+def write_csv(envelope: dict, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
-    payload = envelope.payload
+    payload = envelope["payload"]
     kind = payload.get("kind")
     if kind == "sweep":
         writer.writerow(["n", "k", "lhs", "rhs", "relation"])
@@ -385,9 +370,9 @@ def write_csv(envelope: ReportEnvelope, out) -> None:
         writer.writerow([payload.get("message", "")])
 
 
-def write_text(envelope: ReportEnvelope, out) -> None:
-    lines = [f"scrolls {envelope.version} :: {envelope.command}"]
-    payload = envelope.payload
+def write_text(envelope: dict, out) -> None:
+    lines = [f"scrolls {envelope['version']} :: {envelope['command']}"]
+    payload = envelope["payload"]
     kind = payload.get("kind")
     if kind == "scroll_report":
         for rec in payload["reports"]:
@@ -411,7 +396,7 @@ def write_text(envelope: ReportEnvelope, out) -> None:
         lines.append(f"  largest admissible odd k: {payload['max_odd_k']}")
     else:
         lines.append(f"  error: {payload.get('message', '')}")
-    for warning in envelope.warnings:
+    for warning in envelope["warnings"]:
         lines.append(f"  warning: {warning}")
     out.write("\n".join(lines) + "\n")
 
@@ -419,7 +404,7 @@ def write_text(envelope: ReportEnvelope, out) -> None:
 _WRITERS = {"json": write_json, "csv": write_csv, "text": write_text}
 
 
-def _render(write, envelope: ReportEnvelope) -> str:
+def _render(write, envelope: dict) -> str:
     buffer = io.StringIO()
     # library callers render outside main(); sweep ints are formatted here
     with _exact_int_strings():
@@ -430,11 +415,6 @@ def _render(write, envelope: ReportEnvelope) -> str:
 # render_*(envelope) -> str, for library callers
 render_json = functools.partial(_render, write_json)
 render_csv = functools.partial(_render, write_csv)
-
-
-def _resolve_output(path: str | None) -> Path | None:
-    # an absolute path discards the base it is joined to
-    return None if path is None else Path(os.environ.get(OUTPUT_DIR_ENV) or "") / path
 
 
 def _file_mode(path: Path) -> int:
@@ -448,12 +428,14 @@ def _file_mode(path: Path) -> int:
 
 
 @contextlib.contextmanager
-def _output(path: Path | None):
-    """stdout, or a temp file that replaces `path` (a symlink's target) once fully written."""
+def _output(path: str | None):
+    """stdout, or a temp file that replaces `path` (a symlink's target, and
+    under $SCROLLS_OUTPUT_DIR if relative) once fully written."""
     if path is None:
         yield sys.stdout
         return
-    path = Path(os.path.realpath(path))  # never raises, even on a symlink loop
+    # an absolute path discards the base; realpath never raises, even on a symlink loop
+    path = Path(os.path.realpath(Path(os.environ.get(OUTPUT_DIR_ENV) or "") / path))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -488,7 +470,10 @@ def _int_tuple(count: int):
         parts = text.split(",")
         if len(parts) != count:
             raise argparse.ArgumentTypeError(f"expected {count} comma-separated integers")
-        return tuple(int(part) for part in parts)
+        try:
+            return tuple(int(part) for part in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated integers, got {text!r}") from exc
 
     return parse
 
@@ -576,14 +561,14 @@ def main(argv=None) -> int:
                 params["torsion"] = (0, 1, 0, 0, order)
         envelope, code = run(command, **params)
         try:
-            with _output(_resolve_output(output)) as out:
+            with _output(output) as out:
                 _WRITERS[fmt](envelope, out)
         except OSError as exc:
             # an unwritable --output is a usage error, not a failed check
             target = output or "stdout"
             print(f"scrolls: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
-    return EXIT_FAILED if envelope.payload.get("classification_holds") is False else code
+    return EXIT_FAILED if envelope["payload"].get("classification_holds") is False else code
 
 
 if __name__ == "__main__":

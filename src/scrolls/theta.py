@@ -534,7 +534,7 @@ def scroll_smoothness_probe(
         partners = np.concatenate([_draw_partners(emb, shifts, drawn, rng, offset), grid + offset])
         raw = rng.normal(size=bases.shape) + 1j * rng.normal(size=bases.shape) if g > 1 else np.ones_like(bases)
         tangents = raw / np.linalg.norm(raw, axis=1)[:, None]
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size beyond its range
         raise ConfigurationError(f"cannot allocate the draws for {samples} samples") from None
 
     def translates(points, tangent=None):  # rows of the k translates of each point

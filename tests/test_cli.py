@@ -231,10 +231,10 @@ def test_verify_verdict_comes_from_writing_the_records(monkeypatch):
     monkeypatch.setattr("scrolls.cli.sweep_records", _tampered_rows)
     envelope, code = run("verify", n_min=1, n_max=4, k_min=1, k_max=3)
     assert code == 0
-    assert envelope.payload["classification_holds"] is None
-    assert envelope.warnings == []
+    assert envelope["payload"]["classification_holds"] is None
+    assert envelope["warnings"] == []
     assert json.loads(render_json(envelope))["payload"]["classification_holds"] is False
-    assert envelope.payload["classification_holds"] is False
+    assert envelope["payload"]["classification_holds"] is False
 
 
 def test_verify_rerendering_a_violated_sweep_warns_once(monkeypatch):
@@ -242,7 +242,7 @@ def test_verify_rerendering_a_violated_sweep_warns_once(monkeypatch):
     envelope, _ = run("verify", n_min=1, n_max=4, k_min=1, k_max=3)
     first = render_json(envelope)
     render_csv(envelope)
-    assert envelope.warnings == ["equality classification violated on this grid"]
+    assert envelope["warnings"] == ["equality classification violated on this grid"]
     assert render_json(envelope).split('"timestamp"')[1] == first.split('"timestamp"')[1]
 
 
@@ -315,22 +315,34 @@ def test_verify_json_does_not_hold_the_equality_pairs(tmp_path):
                          '    "classification_holds": true\n  },\n  "warnings": []\n}\n')
 
 
+def _flipped_rows(ns, ks):
+    # a pair of n <= 2 that is not "eq" leaves the equality set; a pair of
+    # n >= 3 that is "eq" joins it, and one that is "lt" breaks the
+    # classification without joining it
+    flips = {(2, 2): "gt", (3, 1): "eq", (4, 1): "lt", (4, 3): "eq"}
+    for rec in sweep_records(ns, ks):
+        yield rec._replace(relation=flips.get((rec.n, rec.k), rec.relation))
+
+
 def test_verify_json_equality_set_follows_the_records(capsys, monkeypatch):
-    # a pair of n <= 2 that is not "eq" leaves the set; a pair of n >= 3 that is joins it
-    flips = {(2, 2): "gt", (3, 1): "eq", (4, 3): "eq"}
-
-    def tampered(ns, ks):
-        for rec in sweep_records(ns, ks):
-            yield rec._replace(relation=flips.get((rec.n, rec.k), rec.relation))
-
-    monkeypatch.setattr("scrolls.cli.sweep_records", tampered)
-    code, out = run_cli(capsys, _grid_argv(range(1, 5), range(1, 4)))
+    monkeypatch.setattr("scrolls.cli.sweep_records", _flipped_rows)
+    argv = _grid_argv(range(1, 5), range(1, 4))
+    code, out = run_cli(capsys, argv)
     assert code == 1
     env = json.loads(out)
     records = env["payload"]["records"]
     assert env["payload"]["equality_set"] == [[r["n"], r["k"]] for r in records if r["relation"] == "eq"]
     assert [3, 1] in env["payload"]["equality_set"] and [2, 2] not in env["payload"]["equality_set"]
+    assert [4, 1] not in env["payload"]["equality_set"]
+    assert env["warnings"] == ["equality classification violated on this grid"]
     assert out == json.dumps(env, indent=2) + "\n"
+
+    # the same flips, row 4 among them, written and classified by a child span
+    result = _fresh_main(2, argv, "_flipped_rows")
+    assert result.returncode == 1, result.stderr
+    child = json.loads(result.stdout)
+    assert child["payload"] == env["payload"]
+    assert child["warnings"] == ["equality classification violated on this grid"]
 
 
 # main() in a new interpreter, so that no numpy thread runs when it forks
@@ -788,14 +800,14 @@ def test_probe_lattice_beyond_the_term_bound_is_refused_in_little_memory():
     finally:
         tracemalloc.stop()
     assert code == 3
-    assert envelope.payload["message"] == (
+    assert envelope["payload"]["message"] == (
         "35753200 terms per point exceed 1048576; Im(period) too small"
     )
     assert peak < 10 * 2**20
     # at 1e-3 I a point's sum holds 7 x 228^2 terms, within the bound
     envelope, code = run("probe-surface", **dict(params, omega=(1e-3j, 0j, 1e-3j)))
     assert code == 0
-    assert (envelope.payload["probes"], envelope.payload["passes"]) == (48, 48)
+    assert (envelope["payload"]["probes"], envelope["payload"]["passes"]) == (48, 48)
 
 
 # -------------------------------------------------------------------- errors
@@ -816,6 +828,7 @@ def test_malformed_complex_flag_exits_three(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["probe-elliptic", "--m", "9", "--torsion", "1,0"], "expected 3 comma-separated integers"),
     (["probe-surface", "--d", "7", "--omega", "0,1;0,0"], "expected 'o11;o12;o22' with each entry 're,im'"),
+    (["probe-elliptic", "--m", "9", "--torsion", "1,a,2"], "expected 3 comma-separated integers, got '1,a,2'"),
 ])
 def test_malformed_torsion_or_omega_flag_exits_three(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -840,7 +853,7 @@ def test_probe_without_a_pairing_offset_is_a_config_error(monkeypatch):
     monkeypatch.setattr(theta, "_distances", offsets_on_the_group)
     envelope, code = run("probe-elliptic", m=9, tau=1j, torsion=(1, 0, 4), samples=1, seed=1, tol=1e-8)
     assert code == 3
-    assert envelope.payload["message"] == "could not find a pairing offset away from the subgroup"
+    assert envelope["payload"]["message"] == "could not find a pairing offset away from the subgroup"
 
 
 @pytest.mark.parametrize("argv", [
@@ -856,11 +869,13 @@ def test_non_finite_period_is_config_error(capsys, argv):
 
 @pytest.mark.parametrize("command", [["probe-elliptic", "--m", "9"], ["probe-surface", "--d", "7"]])
 def test_unallocatable_sample_count_is_config_error(capsys, command):
-    # the draws for 1e11 samples need 1.46 TiB (genus 1) or twice that (genus 2):
-    # numpy refuses the request at once and allocates nothing
-    code, env = run_cli_json(capsys, [*command, "--samples", "100000000000"])
-    assert code == 3
-    assert env["payload"] == {"kind": "error", "message": "cannot allocate the draws for 100000000000 samples"}
+    # the draws for 1e11 samples need 1.46 TiB (genus 1) or twice that (genus 2),
+    # which numpy refuses at once (MemoryError); 1e18 and 1e20 lie beyond the
+    # sizes it can express (ValueError); none of them allocates anything
+    for samples in ("100000000000", "1000000000000000000", "100000000000000000000"):
+        code, env = run_cli_json(capsys, [*command, "--samples", samples])
+        assert code == 3
+        assert env["payload"] == {"kind": "error", "message": f"cannot allocate the draws for {samples} samples"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "2", "1", "0", "-1"])
@@ -996,8 +1011,8 @@ def test_payload_bytes_deterministic():
     first, code_first = run("probe-elliptic", **params)
     second, code_second = run("probe-elliptic", **params)
     assert code_first == code_second == 0
-    assert json.dumps(first.payload) == json.dumps(second.payload)
-    assert first.params == second.params
+    assert json.dumps(first["payload"]) == json.dumps(second["payload"])
+    assert first["params"] == second["params"]
 
 
 @pytest.mark.parametrize(("argv", "params"), [
@@ -1024,14 +1039,14 @@ def test_params_echo_each_flag_in_parser_order(capsys, argv, params):
 def test_envelope_fields_and_renderers():
     envelope, code = run("very-ample-bound", n=3, l=13)
     assert code == 0
-    data = vars(envelope)
-    assert set(data) == {"version", "command", "timestamp", "params", "payload", "warnings"}
+    assert list(envelope) == ["version", "command", "timestamp", "params", "payload", "warnings"]
+    assert list(envelope) == list(json.loads(render_json(envelope)))
     assert render_json(envelope).endswith("\n")
 
 
 def test_json_refuses_a_param_it_cannot_serialise():
     envelope, _ = run("very-ample-bound", n=3, l=13)
-    envelope.params["l"] = Fraction(13)
+    envelope["params"]["l"] = Fraction(13)
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         render_json(envelope)
 
